@@ -13,6 +13,10 @@
 // must be exactly zero, throughput within 0.75x of baseline, p99
 // latency within 1.5x.
 //
+// Both rows carry nproc (the CPUs this process may run on, as the
+// `nproc` command counts them) so a result names the core count it was
+// measured on.
+//
 // Latency is measured per instance from submit-admission to
 // completion (queueing included — that is what a service client
 // experiences), reported as p50/p99/mean milliseconds.
@@ -24,6 +28,8 @@
 // the serial ground-truth pass (pure evaluate_scenario cost). The
 // serial figure is single-threaded and deterministic; the soak figure
 // moves with thread interleaving and is informational.
+
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -98,6 +104,17 @@ std::string normal_form(const exp::ReproScenario& scenario, const exp::ReproVerd
   std::ostringstream os;
   svc::write_verdict_document(os, scenario, verdict);
   return os.str();
+}
+
+/// CPUs in this process's affinity mask; hardware concurrency when the
+/// mask cannot be read.
+int online_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+    return CPU_COUNT(&set);
+  }
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -195,8 +212,9 @@ int main(int argc, char** argv) {
   }
 
   obs::BenchReporter reporter("BENCH_service.json");
-  std::printf("W4 — service soak: %zu instances, %zu tenants, %d worker threads\n", instances,
-              kTenantCount, threads);
+  const int nproc = online_cpus();
+  std::printf("W4 — service soak: %zu instances, %zu tenants, %d worker threads, nproc %d\n",
+              instances, kTenantCount, threads, nproc);
 
   const std::uint64_t soak_allocs_before = alloc_count();
   SoakResult soak = run_soak(instances, threads);
@@ -267,6 +285,7 @@ int main(int argc, char** argv) {
   reporter.write_series("soak",
                         {{"instances", static_cast<double>(instances)},
                          {"threads", static_cast<double>(threads)},
+                         {"nproc", static_cast<double>(nproc)},
                          {"instances_per_second", service_rate},
                          {"latency_p50_ms", p50_ms},
                          {"latency_p99_ms", p99_ms},
@@ -274,7 +293,8 @@ int main(int argc, char** argv) {
                          {"admission_rejections", static_cast<double>(soak.rejections)},
                          {"verdict_mismatches", static_cast<double>(mismatches)},
                          {"allocs_per_instance", soak_allocs_per_instance}});
-  reporter.write_series("serial", {{"instances_per_second", serial_rate},
+  reporter.write_series("serial", {{"nproc", static_cast<double>(nproc)},
+                                   {"instances_per_second", serial_rate},
                                    {"speedup", service_rate / serial_rate},
                                    {"allocs_per_instance", serial_allocs_per_instance}});
   reporter.announce(std::cout);

@@ -325,17 +325,19 @@ void HttpServer::handle_connection(int client_fd) {
     }
   }
 
-  std::string head = "HTTP/1.1 " + std::to_string(response.status) + ' ' +
-                     status_text(response.status) +
-                     "\r\nContent-Type: " + response.content_type +
-                     "\r\nContent-Length: " + std::to_string(response.body.size());
+  // Head and body leave in one send: on a socket without TCP_NODELAY, a
+  // second small write waits (Nagle) for the ACK of the first, which a
+  // client may delay by up to ~40 ms.
+  std::string out = "HTTP/1.1 " + std::to_string(response.status) + ' ' +
+                    status_text(response.status) +
+                    "\r\nContent-Type: " + response.content_type +
+                    "\r\nContent-Length: " + std::to_string(response.body.size());
   for (const auto& [name, value] : response.extra_headers) {
-    head += "\r\n" + name + ": " + value;
+    out += "\r\n" + name + ": " + value;
   }
-  head += "\r\nConnection: close\r\n\r\n";
-  if (write_all(client_fd, head.data(), head.size()) && parsed.method != "HEAD") {
-    write_all(client_fd, response.body.data(), response.body.size());
-  }
+  out += "\r\nConnection: close\r\n\r\n";
+  if (parsed.method != "HEAD") out += response.body;
+  write_all(client_fd, out.data(), out.size());
   requests_.fetch_add(1, std::memory_order_relaxed);
 }
 

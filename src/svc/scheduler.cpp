@@ -17,24 +17,35 @@ constexpr double kEwmaTauSeconds = 5.0;
 }  // namespace
 
 Scheduler::Scheduler(SchedulerOptions options)
-    : options_(std::move(options)), admission_(options_.admission), executor_(options_.threads) {
+    : options_(std::move(options)), admission_(options_.admission) {
   if (options_.fair_quantum == 0) options_.fair_quantum = 1;
   sessions_gauge_ = registry_.gauge("byzrenamed_sessions", "Open sessions.");
   queued_gauge_ = registry_.gauge("byzrenamed_queued_instances",
                                   "Instances admitted but not yet dispatched.");
   running_gauge_ = registry_.gauge("byzrenamed_running_instances",
-                                   "Instances currently executing on the executor.");
+                                   "Instances currently executing on a worker.");
   draining_gauge_ = registry_.gauge("byzrenamed_draining",
                                     "1 while shutdown is draining, else 0.");
-  latency_hist_ = registry_.histogram(
-      "byzrenamed_completion_latency_microseconds",
-      "Enqueue-to-completion latency of executed instances.",
-      obs::MetricsRegistry::exponential_bounds(64, 2, 20));
+  // One set of buckets for both, so their difference reads as execution.
+  const auto latency_bounds = obs::MetricsRegistry::exponential_bounds(64, 2, 20);
+  queue_wait_hist_ = registry_.histogram("byzrenamed_queue_wait_microseconds",
+                                         "Enqueue-to-pickup wait of executed instances.",
+                                         latency_bounds);
+  latency_hist_ = registry_.histogram("byzrenamed_completion_latency_microseconds",
+                                      "Enqueue-to-completion latency of executed instances.",
+                                      latency_bounds);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     update_gauges_locked();
   }
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
+  int threads = options_.threads;
+  if (threads < 1) threads = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  try {
+    for (int i = 0; i < threads; ++i) workers_.emplace_back([this] { worker_loop(); });
+  } catch (...) {
+    shutdown(DrainMode::kCancelQueued);  // joins the workers already started
+    throw;
+  }
 }
 
 Scheduler::~Scheduler() { shutdown(DrainMode::kCancelQueued); }
@@ -94,7 +105,7 @@ Scheduler::SubmitOutcome Scheduler::submit(const std::string& session,
   Session& state = it->second;
   const std::size_t inflight = state.submitted_total - state.completed_total();
   const AdmissionDecision decision =
-      admission_.decide(instances.size(), total_queued_, inflight, drain_rate_locked());
+      admission_.decide(instances.size(), total_queued_, inflight, ewma_rate_);
   if (!decision.admitted) {
     registry_.add(state.rejected, instances.size());
     outcome.reason = decision.reason;
@@ -112,7 +123,7 @@ Scheduler::SubmitOutcome Scheduler::submit(const std::string& session,
   total_queued_ += outcome.accepted;
   registry_.add(state.submitted, outcome.accepted);
   update_gauges_locked();
-  dispatch_cv_.notify_one();
+  dispatch_cv_.notify_all();
   return outcome;
 }
 
@@ -126,18 +137,7 @@ Scheduler::PollResult Scheduler::poll(const std::string& session, std::uint64_t 
     return result;
   }
   Session& state = it->second;
-  // A cursor below the retention window names results that no longer
-  // exist; replaying from oldest_cursor is the only honest continuation,
-  // and silently skipping would hide the gap from the client.
-  if (cursor < state.evicted) {
-    result.evicted = true;
-    result.cursor = cursor;
-    result.oldest_cursor = state.evicted;
-    result.pending = state.submitted_total - state.completed_total();
-    result.draining = stopping_;
-    return result;
-  }
-  if (wait_ms > 0 && state.completed_total() <= cursor) {
+  if (wait_ms > 0 && cursor >= state.evicted && state.completed_total() <= cursor) {
     // Long-poll: woken by each completion; gives up at the deadline or
     // as soon as nothing further can arrive.
     results_cv_.wait_for(lock, std::chrono::milliseconds(wait_ms), [&] {
@@ -145,13 +145,16 @@ Scheduler::PollResult Scheduler::poll(const std::string& session, std::uint64_t 
              (stopping_ && total_queued_ == 0 && total_running_ == 0);
     });
   }
-  // Eviction may have overtaken the cursor while the long-poll slept.
+  result.oldest_cursor = state.evicted;
+  result.pending = state.submitted_total - state.completed_total();
+  result.draining = stopping_;
+  // A cursor below the retention window (possibly overtaken by eviction
+  // while the long-poll slept) names results that no longer exist;
+  // replaying from oldest_cursor is the only honest continuation, and
+  // silently skipping would hide the gap from the client.
   if (cursor < state.evicted) {
     result.evicted = true;
     result.cursor = cursor;
-    result.oldest_cursor = state.evicted;
-    result.pending = state.submitted_total - state.completed_total();
-    result.draining = stopping_;
     return result;
   }
   const std::uint64_t begin = std::min<std::uint64_t>(cursor, state.completed_total());
@@ -161,9 +164,6 @@ Scheduler::PollResult Scheduler::poll(const std::string& session, std::uint64_t 
   result.items.assign(state.done.begin() + static_cast<std::ptrdiff_t>(local),
                       state.done.begin() + static_cast<std::ptrdiff_t>(local + take));
   result.cursor = begin + take;
-  result.oldest_cursor = state.evicted;
-  result.pending = state.submitted_total - state.completed_total();
-  result.draining = stopping_;
   return result;
 }
 
@@ -177,13 +177,32 @@ void Scheduler::shutdown(DrainMode mode) {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (!stopping_) {
       stopping_ = true;
-      drain_mode_ = mode;
+      if (mode == DrainMode::kCancelQueued) {
+        // Instances that never started report status "cancelled"
+        // instead of silently vanishing, so a draining client can
+        // reconcile ids. In-flight instances complete on their workers.
+        for (auto& [name, state] : sessions_) {
+          while (!state.queue.empty()) {
+            Queued queued = std::move(state.queue.front());
+            state.queue.pop_front();
+            --total_queued_;
+            InstanceResult cancelled;
+            cancelled.id = queued.id;
+            cancelled.session = name;
+            cancelled.status = InstanceStatus::kCancelled;
+            cancelled.scenario = std::move(queued.scenario);
+            record_result_locked(state, std::move(cancelled), queued.enqueued);
+          }
+        }
+      }
       update_gauges_locked();
     }
     dispatch_cv_.notify_all();
     results_cv_.notify_all();
   }
-  if (dispatcher_.joinable()) dispatcher_.join();
+  for (std::thread& worker : workers_) {
+    if (worker.joinable()) worker.join();
+  }
 }
 
 bool Scheduler::draining() const {
@@ -196,89 +215,64 @@ void Scheduler::write_metrics(std::ostream& os) const {
   registry_.write_prometheus(os);
 }
 
-void Scheduler::dispatch_loop() {
-  struct Work {
-    std::string session_name;
-    Session* session = nullptr;
-    Queued item;
-  };
+Scheduler::SessionMap::iterator Scheduler::next_session_locked() {
+  if (pick_at_ != sessions_.end() && pick_streak_ < options_.fair_quantum &&
+      !pick_at_->second.queue.empty()) {
+    ++pick_streak_;
+    return pick_at_;
+  }
+  // Quantum spent or session dry: the next non-empty session after the
+  // current one in name order, wrapping (back to the current one when it
+  // is the only session with work).
+  auto it = pick_at_;
+  do {
+    if (it == sessions_.end() || ++it == sessions_.end()) it = sessions_.begin();
+  } while (it->second.queue.empty());
+  pick_at_ = it;
+  pick_streak_ = 1;
+  return it;
+}
 
+void Scheduler::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
     dispatch_cv_.wait(lock, [&] { return stopping_ || total_queued_ > 0; });
-    if (stopping_ && drain_mode_ == DrainMode::kCancelQueued && total_queued_ > 0) {
-      // The PR 6 cooperative-cancellation shape at service granularity:
-      // instances that never started report status "cancelled" instead
-      // of silently vanishing, so a draining client can reconcile ids.
-      for (auto& [name, state] : sessions_) {
-        while (!state.queue.empty()) {
-          Queued queued = std::move(state.queue.front());
-          state.queue.pop_front();
-          --total_queued_;
-          InstanceResult cancelled;
-          cancelled.id = queued.id;
-          cancelled.session = name;
-          cancelled.status = InstanceStatus::kCancelled;
-          cancelled.scenario = std::move(queued.scenario);
-          record_result_locked(state, std::move(cancelled), queued.enqueued);
-        }
-      }
-    }
-    if (total_queued_ == 0) {
-      if (stopping_) break;
-      continue;
-    }
-
-    // Fair round-robin gather: up to fair_quantum per session per
-    // sweep, sessions in name order, until the batch cap or all queues
-    // are dry. A session with one instance and a session with a
-    // thousand both make progress every batch.
-    const std::size_t cap =
-        std::max<std::size_t>(64, static_cast<std::size_t>(executor_.threads()) * 8);
-    std::vector<Work> batch;
-    bool took_any = true;
-    while (batch.size() < cap && took_any) {
-      took_any = false;
-      for (auto& [name, state] : sessions_) {
-        const std::size_t take =
-            std::min({options_.fair_quantum, state.queue.size(), cap - batch.size()});
-        for (std::size_t i = 0; i < take; ++i) {
-          batch.push_back(Work{name, &state, std::move(state.queue.front())});
-          state.queue.pop_front();
-        }
-        if (take > 0) took_any = true;
-        if (batch.size() >= cap) break;
-      }
-    }
-    total_queued_ -= batch.size();
-    total_running_ += batch.size();
+    // Stopping with an empty queue: kCancelQueued emptied it inside
+    // shutdown(); kWaitAll gets here once the workers have drained it.
+    if (total_queued_ == 0) return;
+    auto& [session_name, session] = *next_session_locked();
+    Queued item = std::move(session.queue.front());
+    session.queue.pop_front();
+    --total_queued_;
+    ++total_running_;
+    const auto waited = std::chrono::duration_cast<std::chrono::microseconds>(
+        std::chrono::steady_clock::now() - item.enqueued);
+    registry_.observe(queue_wait_hist_, static_cast<std::uint64_t>(waited.count()));
     update_gauges_locked();
-
     lock.unlock();
-    executor_.run(batch.size(), [this, &batch](std::size_t index) {
-      Work& work = batch[index];
-      // Outside the mutex: the verdict computation is the service's
-      // entire CPU budget. Deterministic per the harness re-entrancy
-      // contract, so concurrency cannot change it. The thread-CPU delta
-      // around it is exactly this tenant's cost (one instance per
-      // worker thread at a time).
-      const std::uint64_t cpu_before = obs::prof::thread_cpu_ns();
-      exp::ReproVerdict verdict = exp::evaluate_scenario(work.item.scenario);
-      const std::uint64_t cpu_after = obs::prof::thread_cpu_ns();
-      InstanceResult result;
-      result.id = work.item.id;
-      result.session = work.session_name;
-      result.status = InstanceStatus::kDone;
-      result.scenario = std::move(work.item.scenario);
-      result.verdict = std::move(verdict);
-      const std::lock_guard<std::mutex> inner(mutex_);
-      --total_running_;
-      if (cpu_after > cpu_before) {
-        registry_.add(work.session->cpu_micros, (cpu_after - cpu_before) / 1000);
-      }
-      record_result_locked(*work.session, std::move(result), work.item.enqueued);
-    });
+
+    // Outside the mutex: the verdict computation is the service's
+    // entire CPU budget. Deterministic per the harness re-entrancy
+    // contract, so concurrency cannot change it. The thread-CPU delta
+    // around it is exactly this tenant's cost (one instance per worker
+    // thread at a time). Map keys are immutable and sessions are never
+    // erased, so session_name stays readable without the lock.
+    const std::uint64_t cpu_before = obs::prof::thread_cpu_ns();
+    exp::ReproVerdict verdict = exp::evaluate_scenario(item.scenario);
+    const std::uint64_t cpu_after = obs::prof::thread_cpu_ns();
+    InstanceResult result;
+    result.id = item.id;
+    result.session = session_name;
+    result.status = InstanceStatus::kDone;
+    result.scenario = std::move(item.scenario);
+    result.verdict = std::move(verdict);
+
     lock.lock();
+    --total_running_;
+    if (cpu_after > cpu_before) {
+      registry_.add(session.cpu_micros, (cpu_after - cpu_before) / 1000);
+    }
+    record_result_locked(session, std::move(result), item.enqueued);
   }
 }
 
@@ -329,7 +323,5 @@ void Scheduler::update_gauges_locked() {
   registry_.set(running_gauge_, static_cast<double>(total_running_));
   registry_.set(draining_gauge_, stopping_ ? 1.0 : 0.0);
 }
-
-double Scheduler::drain_rate_locked() const { return ewma_rate_; }
 
 }  // namespace byzrename::svc

@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "exp/executor.h"
 #include "exp/repro.h"
 #include "obs/metrics_registry.h"
 #include "svc/admission.h"
@@ -23,11 +22,11 @@
 namespace byzrename::svc {
 
 struct SchedulerOptions {
-  /// Executor worker count; < 1 selects hardware concurrency.
+  /// Worker thread count; < 1 selects hardware concurrency.
   int threads = 0;
   AdmissionLimits admission;
-  /// Max instances pulled from one session into one dispatch batch
-  /// before moving to the next session — the fair-queueing quantum.
+  /// Max consecutive picks from one session before the next pick moves
+  /// on to the next session — the fair-queueing quantum.
   std::size_t fair_quantum = 16;
   /// Completion hook, invoked with the scheduler mutex HELD as each
   /// instance finishes (latency in seconds, enqueue to completion).
@@ -43,26 +42,28 @@ struct SchedulerOptions {
   std::size_t retention_cap = 65536;
 };
 
-/// Multiplexes many sessions' renaming instances over one work-stealing
-/// executor. The contract that makes the whole service testable: a
-/// verdict is a pure function of its scenario (core::run_scenario's
-/// re-entrancy guarantee), so WHEN an instance runs — which batch,
-/// which worker, what thread count — can never change WHAT it returns,
-/// only when it becomes pollable.
+/// Multiplexes many sessions' renaming instances over a fixed pool of
+/// worker threads. The contract that makes the whole service testable:
+/// a verdict is a pure function of its scenario (core::run_scenario's
+/// re-entrancy guarantee), so WHEN an instance runs — which worker,
+/// in what order, at what thread count — can never change WHAT it
+/// returns, only when it becomes pollable.
 ///
-/// Concurrency model: one internal dispatcher thread gathers fair
-/// round-robin batches (up to fair_quantum per session per batch, in
-/// session-name order) and blocks in Executor::run; worker threads
-/// record each completion under the scheduler mutex as it happens, so
-/// poll() streams results out of a batch still in flight. Every public
-/// member is thread-safe.
+/// Concurrency model: `threads` persistent workers, started by the
+/// constructor, each pull one instance at a time. Under the scheduler
+/// mutex an idle worker pops the next instance by per-pick round robin
+/// (up to fair_quantum consecutive picks from one session, then the
+/// next non-empty session in name order, wrapping); it evaluates it
+/// outside the mutex and records the result under it. An instance thus
+/// starts as soon as any worker is free. Every public member is
+/// thread-safe.
 ///
-/// Shutdown: shutdown(kCancelQueued) marks still-queued instances
-/// cancelled (pollable, status "cancelled", no verdict — the PR 6
-/// cooperative-cancellation shape) and completes in-flight ones;
-/// shutdown(kWaitAll) runs everything already admitted. Both stop
-/// admission first (submits report `draining`) and block until the
-/// dispatcher exits. The destructor is shutdown(kCancelQueued).
+/// Shutdown: shutdown(kCancelQueued) turns still-queued instances into
+/// cancelled results (pollable, status "cancelled", no verdict) under
+/// the mutex and lets in-flight ones complete; shutdown(kWaitAll) lets
+/// the workers drain everything already admitted. Both stop admission
+/// first (submits report `draining`) and block until every worker has
+/// exited. The destructor is shutdown(kCancelQueued).
 class Scheduler {
  public:
   explicit Scheduler(SchedulerOptions options = {});
@@ -118,18 +119,18 @@ class Scheduler {
   /// Blocks until no instance is queued or running. Test/bench helper.
   void wait_idle();
 
-  /// Stops admission, drains per @p mode, joins the dispatcher.
+  /// Stops admission, drains per @p mode, joins the workers.
   /// Idempotent; the first caller's mode wins.
   void shutdown(DrainMode mode);
 
   [[nodiscard]] bool draining() const;
 
   /// Prometheus families (service gauges, per-tenant counters, the
-  /// completion-latency histogram) under the scheduler mutex — mount as
-  /// an ExpositionHub writer.
+  /// queue-wait and completion-latency histograms) under the scheduler
+  /// mutex — mount as an ExpositionHub writer.
   void write_metrics(std::ostream& os) const;
 
-  [[nodiscard]] int threads() const noexcept { return executor_.threads(); }
+  [[nodiscard]] int threads() const noexcept { return static_cast<int>(workers_.size()); }
 
  private:
   struct Queued {
@@ -166,25 +167,30 @@ class Scheduler {
     obs::MetricsRegistry::Handle cpu_micros = 0;
   };
 
-  void dispatch_loop();
+  using SessionMap = std::map<std::string, Session, std::less<>>;
+
+  void worker_loop();
+  /// The session the next pick comes from; requires total_queued_ > 0.
+  SessionMap::iterator next_session_locked();
   void record_result_locked(Session& session, InstanceResult result,
                             std::chrono::steady_clock::time_point enqueued);
   void update_gauges_locked();
-  [[nodiscard]] double drain_rate_locked() const;
 
   SchedulerOptions options_;
   AdmissionController admission_;
-  exp::Executor executor_;
 
   mutable std::mutex mutex_;
-  std::condition_variable dispatch_cv_;        ///< wakes the dispatcher
+  std::condition_variable dispatch_cv_;        ///< wakes idle workers
   mutable std::condition_variable results_cv_; ///< wakes poll/wait_idle
-  std::map<std::string, Session, std::less<>> sessions_;
+  SessionMap sessions_;
+  /// Round robin: the last pick's session and its consecutive picks so
+  /// far. Sessions are never erased, so the iterator stays valid.
+  SessionMap::iterator pick_at_ = sessions_.end();
+  std::size_t pick_streak_ = 0;
   std::size_t total_queued_ = 0;
   std::size_t total_running_ = 0;
   std::uint64_t next_id_ = 1;
   bool stopping_ = false;
-  DrainMode drain_mode_ = DrainMode::kCancelQueued;
 
   /// EWMA completions/second (tau 5 s), feeding Retry-After.
   double ewma_rate_ = 0.0;
@@ -196,9 +202,10 @@ class Scheduler {
   obs::MetricsRegistry::Handle queued_gauge_ = 0;
   obs::MetricsRegistry::Handle running_gauge_ = 0;
   obs::MetricsRegistry::Handle draining_gauge_ = 0;
+  obs::MetricsRegistry::Handle queue_wait_hist_ = 0;
   obs::MetricsRegistry::Handle latency_hist_ = 0;
 
-  std::thread dispatcher_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace byzrename::svc

@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "core/harness.h"
+#include "obs/metrics_registry.h"
 #include "obs/prof/alloc_interpose.h"
 #include "obs/prof/profile_io.h"
 #include "obs/prof/profiler.h"
@@ -288,6 +289,20 @@ TEST(ProfilerAlloc, ScopesAttributeAllocationsInclusively) {
   // Inclusive semantics: the parent covers the child's allocations.
   EXPECT_GE(outer.allocs, inner.allocs);
   EXPECT_GE(outer.alloc_bytes, inner.alloc_bytes);
+}
+
+TEST(ProfilerAlloc, HistogramObserveDoesNotAllocate) {
+  // The service observes its queue-wait histogram at every worker
+  // pickup, under the scheduler mutex; that path must stay heap-free.
+  obs::MetricsRegistry registry;
+  const obs::MetricsRegistry::Handle histogram = registry.histogram(
+      "wait_microseconds", "Wait.", obs::MetricsRegistry::exponential_bounds(64, 2, 20));
+  const AllocCounts before = AllocProfiler::thread_counts();
+  for (std::uint64_t value : {0ull, 64ull, 65ull, 5000ull, 1ull << 40}) {
+    registry.observe(histogram, value);
+  }
+  EXPECT_EQ(AllocProfiler::thread_counts().count, before.count);
+  EXPECT_EQ(registry.histogram_count(histogram), 5u);
 }
 
 // ---------------------------------------------------------------------------

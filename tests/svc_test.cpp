@@ -1,7 +1,7 @@
 // Tests for the src/svc renaming-as-a-service subsystem: the wire API
 // (request parsing, verdict serialization, query strings), the pure
-// admission policy, the multi-tenant fair-queueing Scheduler over the
-// work-stealing executor, and the full Daemon HTTP surface exercised
+// admission policy, the multi-tenant fair-queueing Scheduler over its
+// persistent worker pool, and the full Daemon HTTP surface exercised
 // over raw sockets. The load-bearing property throughout: a verdict is
 // a pure function of its scenario, so the service at any thread count
 // must produce results byte-identical to serial evaluation — which is
@@ -25,6 +25,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/algorithm.h"
@@ -129,6 +130,35 @@ std::vector<exp::ReproScenario> mixed_scenarios(std::size_t count, std::uint64_t
     scenarios.push_back(std::move(scenario));
   }
   return scenarios;
+}
+
+/// An instance that keeps a worker busy for tens of milliseconds in a
+/// release build — long enough that the tests below can act while it
+/// runs.
+exp::ReproScenario slow_scenario(std::uint64_t seed) {
+  return scenario_of("op", 40, 13, "split", seed);
+}
+
+/// Current value of an unlabeled gauge on the scheduler's exposition.
+double gauge_value(const Scheduler& scheduler, const std::string& name) {
+  std::ostringstream os;
+  scheduler.write_metrics(os);
+  const std::string out = os.str();
+  const std::string prefix = "\n" + name + " ";
+  const std::size_t at = out.find(prefix);
+  if (at == std::string::npos) throw std::runtime_error("gauge not exposed: " + name);
+  return std::stod(out.substr(at + prefix.size()));
+}
+
+/// Blocks until exactly @p count instances are executing.
+void wait_until_running(const Scheduler& scheduler, double count) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (gauge_value(scheduler, "byzrenamed_running_instances") != count) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      throw std::runtime_error("timed out waiting for running instances");
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 std::string verdict_normal_form(const exp::ReproScenario& scenario,
@@ -397,6 +427,11 @@ TEST(SvcScheduler, FairQueueingLetsASmallTenantThroughAMonopolist) {
   scheduler.open_session("big");
   scheduler.open_session("small");
 
+  // The monopolist's first instance is already running (its first pick
+  // of the quantum) when the flood and the singleton arrive, so the
+  // order below does not depend on how fast the submits race the worker.
+  ASSERT_TRUE(scheduler.submit("big", {slow_scenario(8999)}).admitted);
+  wait_until_running(scheduler, 1);
   std::vector<exp::ReproScenario> flood;
   for (std::size_t i = 0; i < 120; ++i) {
     flood.push_back(scenario_of("op", 7, 2, "silent", 9000 + i));
@@ -410,10 +445,31 @@ TEST(SvcScheduler, FairQueueingLetsASmallTenantThroughAMonopolist) {
   ASSERT_NE(small_at, completion_sessions.end());
   const std::size_t position =
       static_cast<std::size_t>(small_at - completion_sessions.begin());
-  // Round-robin gathering must interleave the singleton well before the
-  // flood drains; without fairness it would complete dead last. The
-  // bound is generous (first gather may race the second submit).
-  EXPECT_LT(position, 100u) << "small tenant starved behind the flood";
+  // Per-pick round robin: the monopolist finishes its quantum of
+  // consecutive picks, then the singleton is next. Without fairness it
+  // would complete dead last.
+  EXPECT_LE(position, options.fair_quantum + 1) << "small tenant starved behind the flood";
+}
+
+TEST(SvcScheduler, AFreeWorkerDoesNotWaitForAnotherSessionsSlowInstance) {
+  SchedulerOptions options;
+  options.threads = 2;
+  // on_complete runs with the scheduler mutex held, so plain pushes are
+  // serialized; wait_idle() synchronizes the read below.
+  std::vector<std::string> completion_sessions;
+  options.on_complete = [&](const InstanceResult& result, double) {
+    completion_sessions.push_back(result.session);
+  };
+  Scheduler scheduler(options);
+  scheduler.open_session("a");
+  scheduler.open_session("b");
+  ASSERT_TRUE(scheduler.submit("a", {slow_scenario(31)}).admitted);
+  wait_until_running(scheduler, 1);
+  ASSERT_TRUE(scheduler.submit("b", {scenario_of("op", 7, 2, "silent", 32)}).admitted);
+  scheduler.wait_idle();
+  // The idle worker starts b's instance at once; nothing holds it back
+  // until a's slow instance is done.
+  EXPECT_EQ(completion_sessions, (std::vector<std::string>{"b", "a"}));
 }
 
 TEST(SvcScheduler, DrainCancelQueuedReportsCancelledStatuses) {
@@ -451,6 +507,49 @@ TEST(SvcScheduler, DrainCancelQueuedReportsCancelledStatuses) {
     }
   }
   EXPECT_EQ(done + cancelled, batch.size());
+}
+
+TEST(SvcScheduler, DrainCancelQueuedWhileEveryWorkerIsBusy) {
+  SchedulerOptions options;
+  options.threads = 2;
+  Scheduler scheduler(options);
+  scheduler.open_session("a");
+  scheduler.open_session("b");
+  // One slow instance per worker, then a queue behind them in both
+  // sessions: shutdown finds every worker busy.
+  std::vector<std::uint64_t> in_flight;
+  std::map<std::uint64_t, int> seen;  // every admitted id -> times polled
+  for (const char* session : {"a", "b"}) {
+    const Scheduler::SubmitOutcome slow = scheduler.submit(session, {slow_scenario(41)});
+    ASSERT_TRUE(slow.admitted);
+    in_flight.push_back(slow.first_id);
+    seen[slow.first_id] = 0;
+    wait_until_running(scheduler, static_cast<double>(in_flight.size()));
+  }
+  for (const char* session : {"a", "b"}) {
+    const Scheduler::SubmitOutcome queued = scheduler.submit(session, mixed_scenarios(10, 4300));
+    ASSERT_TRUE(queued.admitted);
+    for (std::size_t i = 0; i < queued.accepted; ++i) seen[queued.first_id + i] = 0;
+  }
+  scheduler.shutdown(Scheduler::DrainMode::kCancelQueued);
+
+  std::size_t cancelled = 0;
+  for (const char* session : {"a", "b"}) {
+    const Scheduler::PollResult poll = scheduler.poll(session, 0, 0);
+    EXPECT_EQ(poll.pending, 0u) << session;
+    for (const InstanceResult& item : poll.items) {
+      ASSERT_TRUE(seen.contains(item.id)) << "unknown id " << item.id;
+      ++seen[item.id];
+      if (std::find(in_flight.begin(), in_flight.end(), item.id) != in_flight.end()) {
+        // In-flight instances complete; they are never cancelled.
+        EXPECT_EQ(item.status, InstanceStatus::kDone) << "id " << item.id;
+      } else if (item.status == InstanceStatus::kCancelled) {
+        ++cancelled;
+      }
+    }
+  }
+  for (const auto& [id, count] : seen) EXPECT_EQ(count, 1) << "id " << id;
+  EXPECT_GT(cancelled, 0u);
 }
 
 TEST(SvcScheduler, DrainWaitAllRunsEverythingAdmitted) {
@@ -497,6 +596,9 @@ TEST(SvcScheduler, MetricsExposePerTenantFamiliesAndServiceGauges) {
             std::string::npos)
       << out;
   EXPECT_NE(out.find("byzrenamed_completion_latency_microseconds_count"), std::string::npos)
+      << out;
+  // Every executed instance was observed once at pickup.
+  EXPECT_NE(out.find("\nbyzrenamed_queue_wait_microseconds_count 7\n"), std::string::npos)
       << out;
   // One # TYPE header per family even though the two tenants' series
   // were registered at different times.

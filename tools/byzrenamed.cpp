@@ -6,7 +6,7 @@
 // instances (POST /v1/submit, schema byzrename.submit/1), and poll
 // completion-ordered byzrename.verdict/1 results (GET /v1/poll, with
 // optional long-poll). A svc::Scheduler multiplexes every session over
-// one work-stealing executor with per-session fair queueing and
+// a fixed pool of worker threads with per-session fair queueing and
 // admission control (429 + Retry-After past the configured bounds);
 // /metrics exposes per-tenant counter families live. docs/SERVICE.md
 // has the full API.
@@ -48,13 +48,13 @@ void print_usage() {
       "usage: byzrenamed [options]\n"
       "  --port <int>            loopback port to bind (default 8787; 0 = ephemeral,\n"
       "                          printed at startup)\n"
-      "  --threads <int>         executor workers, >= 1 (default: hardware concurrency)\n"
+      "  --threads <int>         worker threads, >= 1 (default: hardware concurrency)\n"
       "  --max-queue-depth <n>   queued instances across all sessions (default 4096)\n"
       "  --max-inflight <n>      submitted-but-incomplete instances per session\n"
       "                          (default 1024)\n"
       "  --max-batch <n>         instances per submit request (default 512)\n"
-      "  --quantum <n>           fair-queueing quantum: instances taken per session\n"
-      "                          per dispatch batch (default 16)\n"
+      "  --quantum <n>           fair-queueing quantum: consecutive picks from one\n"
+      "                          session before the next is served (default 16)\n"
       "  --retention <n>         completed verdicts retained per session; older ones\n"
       "                          are evicted and their cursors poll 404 cursor-evicted\n"
       "                          (default 65536, 0 = unbounded)\n"
