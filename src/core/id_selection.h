@@ -25,11 +25,18 @@ namespace byzrename::core {
 ///
 /// The message pattern is Bracha-style Echo/Ready, cut to exactly four
 /// steps, with all counting done over *distinct link labels* because the
-/// receiver never knows sender identities. Tallying uses flat sorted
-/// (id, link) pair vectors rather than per-id link sets: the steps see
-/// O(N^2) deliveries, and one sort + adjacent-unique scan per step
-/// replaces millions of red-black-tree node insertions at large N with
-/// the exact same distinct-link counts.
+/// receiver never knows sender identities. A step's tally packs each
+/// (link, id) pair link-major into a flat key vector, makes it sorted and
+/// duplicate-free, then counts each id's keys in a table local to the
+/// step: one key per distinct pair, so an id's key count is its
+/// distinct-link count.
+///
+/// The network hands each inbox over ordered by link label
+/// (sim::ProcessBehavior::on_receive), so the keys arrive grouped by link
+/// and only a link whose ids are not already ascending needs sorting;
+/// correct senders iterate a std::set, so theirs are. The tally stays
+/// total for any inbox: one descending link in the append pass falls
+/// back to sorting the whole step's keys.
 class IdSelection {
  public:
   IdSelection(sim::SystemParams params, sim::Id my_id);
@@ -51,20 +58,20 @@ class IdSelection {
   [[nodiscard]] sim::Id my_id() const noexcept { return my_id_; }
 
  private:
-  /// (id, link) packed into one 128-bit key — sign-biased id in the top
-  /// 96 bits, link in the low 32 — so the tally sorts compare flat
-  /// unsigned integers instead of struct pairs.
-  using IdLink = numeric::uwide_t;
+  /// (link, id) packed into one 128-bit key — link in the top 64 bits,
+  /// sign-biased id in the low 64 — so link-major, id-minor pair order is
+  /// plain unsigned order and inbox order already groups keys by link.
+  using LinkId = numeric::uwide_t;
 
   sim::SystemParams params_;
   sim::Id my_id_;
 
   /// Working id set carried between steps (the paper's `Ids` variable).
   std::set<sim::Id> ids_;
-  /// Distinct (id, link) Ready pairs, cumulative over steps 3-4 (kept
-  /// sorted + deduplicated between the two counting passes; released
-  /// after step 4).
-  std::vector<IdLink> ready_pairs_;
+  /// Step 3's distinct (link, id) Ready keys, sorted; step 4 counts their
+  /// linear merge with its own keys, so a pair Readied in both steps
+  /// counts once, then releases them.
+  std::vector<LinkId> ready_pairs_;
   /// Ids this process has already broadcast Ready for (step 3).
   std::set<sim::Id> ready_sent_;
 

@@ -19,11 +19,13 @@ namespace byzrename::sim {
 /// a seed names the exact same perturbed execution on every machine and
 /// composes deterministically with the Byzantine adversary strategies.
 
-/// Probabilistic per-delivery fault applied while a round window is open.
+/// Probabilistic link fault applied while a round window is open. It is
+/// decided once per (round, sender, receiver) link, and every message the
+/// sender puts on that link in that round shares the decision.
 enum class LinkFaultKind {
-  kDrop,       ///< the delivery silently vanishes
-  kDuplicate,  ///< the delivery arrives twice in the same round
-  kDelay,      ///< the delivery is postponed by delay_rounds rounds
+  kDrop,       ///< the link's messages silently vanish
+  kDuplicate,  ///< the link's messages each arrive twice in the same round
+  kDelay,      ///< the link's messages are postponed by delay_rounds rounds
 };
 
 struct LinkFaultRule {
@@ -33,7 +35,7 @@ struct LinkFaultRule {
   /// Active window, inclusive; to_round == 0 leaves the window open.
   Round from_round = 1;
   Round to_round = 0;
-  /// kDelay only: rounds the delivery is postponed by (>= 1).
+  /// kDelay only: rounds the link's messages are postponed by (>= 1).
   int delay_rounds = 1;
 
   friend bool operator==(const LinkFaultRule&, const LinkFaultRule&) = default;
@@ -112,9 +114,9 @@ struct RestartEvent {
 /// Declarative model-violation plan. Compact spec grammar (see
 /// docs/FAULTS.md), events joined by '+':
 ///
-///   drop:P[@r1..r2]      drop each delivery with probability P
-///   dup:P[@r1..r2]       duplicate each delivery with probability P
-///   delay:PxK[@r1..r2]   postpone each delivery by K rounds with prob. P
+///   drop:P[@r1..r2]      drop a link's messages with probability P
+///   dup:P[@r1..r2]       duplicate a link's messages with probability P
+///   delay:PxK[@r1..r2]   postpone a link's messages by K rounds, prob. P
 ///   crash:PID@r1[..r2]   process PID down for rounds r1..r2 (or forever)
 ///   part:LO-HI@r1..r2    island [LO..HI] partitioned off during r1..r2
 ///   overshoot:K          K extra Byzantine processes beyond the declared
@@ -174,8 +176,10 @@ class FaultInjector {
   /// True while @p process is inside a crash window at @p round.
   [[nodiscard]] bool crashed(ProcessIndex process, Round round) const noexcept;
 
-  /// Combined fate of one delivery. Drop dominates; duplication and delay
-  /// from multiple matching rules accumulate.
+  /// Combined fate of the (round, sender, receiver) link: it applies to
+  /// every message @p sender sends @p receiver in @p round, so the network
+  /// evaluates it once per link, not per message. Drop dominates;
+  /// duplication and delay from multiple matching rules accumulate.
   struct Fate {
     bool drop = false;  ///< partition cut, crashed receiver, or drop rule
     int copies = 1;     ///< 1 + accepted duplication rules

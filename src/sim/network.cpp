@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -125,6 +126,10 @@ void Network::run_round(Round round) {
     Outbox out(byzantine_[sender]);
     // A restarted process acts on its own (skewed) view of the round.
     behaviors_[sender]->on_send(round + round_offset_[sender], out);
+    // A fate is per (round, sender, receiver) link, so every message this
+    // sender puts on one link this round shares it: evaluate it on the
+    // link's first delivery and read it back for the rest.
+    if (fault_injector_ != nullptr && !out.entries().empty()) fate_row_.assign(n, std::nullopt);
     for (const Outbox::Entry& entry : out.entries()) {
       if (event_log_ != nullptr) {
         event_log_->record({round, trace::Event::Kind::kSend,
@@ -138,8 +143,12 @@ void Network::run_round(Round round) {
       auto deliver = [&](std::size_t receiver) {
         FaultInjector::Fate fate;
         if (fault_injector_ != nullptr) {
-          fate = fault_injector_->fate(round, static_cast<ProcessIndex>(sender),
-                                       static_cast<ProcessIndex>(receiver));
+          std::optional<FaultInjector::Fate>& known = fate_row_[receiver];
+          if (!known) {
+            known = fault_injector_->fate(round, static_cast<ProcessIndex>(sender),
+                                          static_cast<ProcessIndex>(receiver));
+          }
+          fate = *known;
         }
         if (fate.drop) {
           round_metrics.injected_drops += 1;

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -160,6 +161,9 @@ class Network {
   std::vector<int> round_offset_;
   /// Scratch for FaultInjector::forged, pooled across rounds.
   std::vector<FaultInjector::ForgedMessage> forged_scratch_;
+  /// The current sender's fate per receiver, filled on each link's first
+  /// delivery of the round; pooled across senders and rounds.
+  std::vector<std::optional<FaultInjector::Fate>> fate_row_;
 };
 
 }  // namespace byzrename::sim

@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -204,6 +206,90 @@ TEST(FaultInjector, DuplicatedAndDelayedDeliveryKeepsItsCopies) {
   // 4 delayed deliveries (2 senders x 2 receivers), each with one extra copy.
   EXPECT_EQ(net.metrics().per_round()[0].injected_delays, 4u);
   EXPECT_EQ(net.metrics().per_round()[0].injected_duplicates, 4u);
+}
+
+/// Broadcasts kBurst messages per round whose ids encode (round, sender,
+/// slot), and records every inbox it sees.
+class BurstProbe final : public sim::ProcessBehavior {
+ public:
+  static constexpr int kBurst = 5;
+
+  explicit BurstProbe(sim::ProcessIndex self) : self_(self) {}
+
+  static sim::Id id_of(sim::Round round, sim::ProcessIndex sender, int slot) {
+    return (static_cast<sim::Id>(round) * 100 + sender) * 10 + slot;
+  }
+  static sim::Round sent_round(sim::Id id) { return static_cast<sim::Round>(id / 1000); }
+
+  void on_send(sim::Round round, sim::Outbox& out) override {
+    for (int slot = 0; slot < kBurst; ++slot) out.broadcast(sim::IdMsg{id_of(round, self_, slot)});
+  }
+  void on_receive(sim::Round round, const sim::Inbox& inbox) override {
+    by_round[round] = inbox;
+  }
+  [[nodiscard]] bool done() const override { return true; }
+
+  std::map<sim::Round, sim::Inbox> by_round;
+
+ private:
+  sim::ProcessIndex self_;
+};
+
+TEST(FaultInjector, EveryMessageOnALinkRoundSharesItsFate) {
+  // A fate is decided per (round, sender, receiver) link, not per
+  // message: the kBurst messages a sender puts on one link in one round
+  // vanish together, arrive together K rounds late, or are all doubled.
+  constexpr int kN = 6;
+  constexpr sim::Round kSendRounds = 6;
+  constexpr int kDelay = 2;
+  constexpr int k = BurstProbe::kBurst;
+  for (const char* spec : {"drop:0.5", "dup:0.5", "delay:0.5x2"}) {
+    SCOPED_TRACE(spec);
+    const sim::FaultInjector injector(sim::parse_fault_plan(spec), 11);
+    std::vector<std::unique_ptr<sim::ProcessBehavior>> behaviors;
+    std::vector<BurstProbe*> probes;
+    for (sim::ProcessIndex i = 0; i < kN; ++i) {
+      auto probe = std::make_unique<BurstProbe>(i);
+      probes.push_back(probe.get());
+      behaviors.push_back(std::move(probe));
+    }
+    sim::Network net(std::move(behaviors), std::vector<bool>(kN, false), sim::Rng(3),
+                     /*scramble_links=*/false);
+    net.attach_fault_injector(&injector);
+    for (sim::Round round = 1; round <= kSendRounds + kDelay; ++round) net.run_round(round);
+
+    // copies[(sent round, sender, receiver)] -> {arrival round -> count}
+    std::map<std::tuple<sim::Round, int, int>, std::map<sim::Round, int>> arrivals;
+    for (int receiver = 0; receiver < kN; ++receiver) {
+      for (const auto& [round, inbox] : probes[receiver]->by_round) {
+        for (const sim::Delivery& d : inbox) {
+          const sim::Id id = std::get<sim::IdMsg>(*d.payload).id;
+          arrivals[{BurstProbe::sent_round(id), d.link, receiver}][round] += 1;
+        }
+      }
+    }
+    std::set<int> outcomes;
+    for (sim::Round round = 1; round <= kSendRounds; ++round) {
+      for (int sender = 0; sender < kN; ++sender) {
+        for (int receiver = 0; receiver < kN; ++receiver) {
+          const auto fate = injector.fate(round, sender, receiver);
+          const auto& seen = arrivals[{round, sender, receiver}];
+          if (fate.drop) {
+            EXPECT_TRUE(seen.empty()) << "round " << round << " link " << sender << "->" << receiver;
+            outcomes.insert(0);
+            continue;
+          }
+          // All k messages (times their copies) land in one round.
+          ASSERT_EQ(seen.size(), 1u) << "round " << round << " link " << sender << "->" << receiver;
+          EXPECT_EQ(seen.begin()->first, round + fate.delay);
+          EXPECT_EQ(seen.begin()->second, k * fate.copies);
+          outcomes.insert(seen.begin()->second + 100 * fate.delay);
+        }
+      }
+    }
+    // A 50% rule must take both branches somewhere in the grid.
+    EXPECT_EQ(outcomes.size(), 2u);
+  }
 }
 
 TEST(FaultHarness, DropAllViolatesTerminationWithProvenance) {

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
 #include <memory>
+#include <random>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/harness.h"
@@ -151,6 +158,148 @@ TEST(IdSelectionUnit, RejectsOutOfRangeSteps) {
   sim::Outbox out(false);
   EXPECT_THROW(sel.on_send(5, out), std::logic_error);
   EXPECT_THROW(sel.on_receive(0, {}), std::logic_error);
+}
+
+// ---------------------------------------------------------------------------
+// Property: the tally against a brute-force distinct-link count.
+// ---------------------------------------------------------------------------
+
+/// What steps 2-4 decided: the Ready sets broadcast in steps 3 and 4
+/// (the `ids` variable after steps 2 and 3), then timely and accepted.
+struct SelectionOutcome {
+  std::set<Id> ids_after_2;
+  std::set<Id> ids_after_3;
+  std::set<Id> timely;
+  std::set<Id> accepted;
+
+  friend bool operator==(const SelectionOutcome&, const SelectionOutcome&) = default;
+};
+
+std::set<Id> ready_ids(const sim::Outbox& out) {
+  std::set<Id> ids;
+  for (const sim::Outbox::Entry& entry : out.entries()) {
+    ids.insert(std::get<sim::ReadyMsg>(*entry.payload).id);
+  }
+  return ids;
+}
+
+SelectionOutcome run_steps(sim::SystemParams params, const Inbox& echoes, const Inbox& ready3,
+                           const Inbox& ready4) {
+  IdSelection sel(params, 1);
+  sel.on_receive(1, {});
+  sel.on_receive(2, echoes);
+  SelectionOutcome outcome;
+  sim::Outbox out3(false);
+  sel.on_send(3, out3);
+  outcome.ids_after_2 = ready_ids(out3);
+  sel.on_receive(3, ready3);
+  sim::Outbox out4(false);
+  sel.on_send(4, out4);
+  outcome.ids_after_3 = ready_ids(out4);
+  sel.on_receive(4, ready4);
+  outcome.timely = sel.timely();
+  outcome.accepted = sel.accepted();
+  return outcome;
+}
+
+/// Adds every (id, link) pair of a @p Msg in @p inbox to @p pairs.
+template <typename Msg>
+void collect_pairs(const Inbox& inbox, std::set<std::pair<Id, sim::LinkIndex>>& pairs) {
+  for (const sim::Delivery& d : inbox) {
+    if (const auto* msg = std::get_if<Msg>(&*d.payload)) pairs.insert({msg->id, d.link});
+  }
+}
+
+std::map<Id, int> links_per_id(const std::set<std::pair<Id, sim::LinkIndex>>& pairs) {
+  std::map<Id, int> counts;
+  for (const auto& pair : pairs) counts[pair.first] += 1;
+  return counts;
+}
+
+/// The paper's steps 2-4 over explicit (id, link) sets.
+SelectionOutcome reference_steps(sim::SystemParams params, const Inbox& echoes,
+                                 const Inbox& ready3, const Inbox& ready4) {
+  const int quorum = params.n - params.t;
+  const int weak_quorum = params.n - 2 * params.t;
+  SelectionOutcome outcome;
+  std::set<std::pair<Id, sim::LinkIndex>> echo_pairs;
+  collect_pairs<sim::EchoMsg>(echoes, echo_pairs);
+  for (const auto& [id, count] : links_per_id(echo_pairs)) {
+    if (count >= quorum) outcome.ids_after_2.insert(id);
+  }
+  std::set<std::pair<Id, sim::LinkIndex>> ready_pairs;
+  collect_pairs<sim::ReadyMsg>(ready3, ready_pairs);
+  for (const auto& [id, count] : links_per_id(ready_pairs)) {
+    if (count >= quorum) outcome.timely.insert(id);
+    if (count >= weak_quorum && !outcome.ids_after_2.contains(id)) outcome.ids_after_3.insert(id);
+  }
+  collect_pairs<sim::ReadyMsg>(ready4, ready_pairs);
+  for (const auto& [id, count] : links_per_id(ready_pairs)) {
+    if (count >= quorum) outcome.accepted.insert(id);
+  }
+  return outcome;
+}
+
+/// A Byzantine-shaped inbox in link order: each link sends a random
+/// subset of @p pool, sometimes in descending order, sometimes with a
+/// non-adjacent repeat, sometimes with a payload of another step mixed in.
+template <typename Msg>
+Inbox random_inbox(std::mt19937_64& gen, int n, const std::vector<Id>& pool) {
+  std::bernoulli_distribution coin(0.3);
+  std::bernoulli_distribution sends(0.8);
+  Inbox inbox;
+  for (int link = 0; link < n; ++link) {
+    std::vector<Id> ids;
+    for (const Id id : pool) {
+      if (sends(gen)) ids.push_back(id);
+    }
+    if (coin(gen)) std::reverse(ids.begin(), ids.end());
+    if (ids.size() > 1 && coin(gen)) ids.push_back(ids.front());
+    for (const Id id : ids) inbox.push_back({link, Msg{id}});
+    if (coin(gen)) inbox.push_back({link, sim::IdMsg{pool.front()}});
+  }
+  return inbox;
+}
+
+Inbox link_ordered(Inbox inbox) {
+  std::stable_sort(inbox.begin(), inbox.end(), [](const sim::Delivery& a, const sim::Delivery& b) {
+    return a.link < b.link;
+  });
+  return inbox;
+}
+
+TEST(IdSelectionTally, MatchesBruteForceOnRandomInboxesInEveryOrder) {
+  const std::vector<Id> pool = {std::numeric_limits<Id>::min(), -7, -1, 0, 3, 8, 42,
+                                std::numeric_limits<Id>::max()};
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    std::mt19937_64 gen(seed);
+    const int t = 1 + static_cast<int>(seed % 3);
+    const sim::SystemParams params{.n = 3 * t + 1 + static_cast<int>(seed % 4), .t = t};
+    const Inbox echoes = random_inbox<sim::EchoMsg>(gen, params.n, pool);
+    const Inbox ready3 = random_inbox<sim::ReadyMsg>(gen, params.n, pool);
+    // Step 4 repeats some of step 3's Readys on the same links; each
+    // (id, link) pair must still count once across both steps.
+    Inbox ready4 = random_inbox<sim::ReadyMsg>(gen, params.n, pool);
+    std::bernoulli_distribution repeat(0.5);
+    for (const sim::Delivery& d : ready3) {
+      if (repeat(gen)) ready4.push_back(d);
+    }
+    const SelectionOutcome want = reference_steps(params, echoes, ready3, ready4);
+    accepted += want.accepted.size();
+    rejected += pool.size() - want.accepted.size();
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    // As the network delivers them: grouped by link.
+    EXPECT_EQ(run_steps(params, echoes, ready3, link_ordered(ready4)), want);
+    // Hand-built order: links interleaved, descending links everywhere.
+    Inbox shuffled[3] = {echoes, ready3, ready4};
+    for (Inbox& inbox : shuffled) std::shuffle(inbox.begin(), inbox.end(), gen);
+    EXPECT_EQ(run_steps(params, shuffled[0], shuffled[1], shuffled[2]), want);
+  }
+  // The inboxes straddle the quorums: ids land on both sides.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // ---------------------------------------------------------------------------
