@@ -101,7 +101,9 @@ void ByzantineAAProcess::on_receive(sim::Round, const sim::Inbox& inbox) {
     }
   }
 
-  if (!have_fixed || kernel_ == core::RankKernel::kCheck) {
+  if (have_fixed) {
+    value_ = std::move(fixed_value);
+  } else {
     exact_ballot_.clear();
     for (const Rational* v : admitted_) exact_ballot_.push_back(*v);
     while (static_cast<int>(exact_ballot_.size()) < n) exact_ballot_.push_back(value_);
@@ -111,13 +113,7 @@ void ByzantineAAProcess::on_receive(sim::Round, const sim::Inbox& inbox) {
       sum += exact_ballot_[t > 0 ? static_cast<std::size_t>(t) * static_cast<std::size_t>(1 + j)
                                  : static_cast<std::size_t>(j)];
     }
-    Rational exact_value = sum / Rational(picks);
-    if (have_fixed && fixed_value != exact_value) {
-      throw std::logic_error("ByzantineAAProcess: fixed kernel diverged from the exact oracle");
-    }
-    value_ = std::move(exact_value);
-  } else {
-    value_ = std::move(fixed_value);
+    value_ = sum / Rational(picks);
   }
 
   --rounds_left_;

@@ -32,8 +32,7 @@ namespace byzrename::aa {
 /// allocations. Any off-grid value (crafted Byzantine denominators, or
 /// an instance whose grid exceeds the supported width) drops that round
 /// — or the whole instance — back to the exact-Rational pipeline, whose
-/// results are bit-identical by construction. kCheck runs both and
-/// throws on divergence.
+/// results are bit-identical by construction.
 class ByzantineAAProcess final : public sim::ProcessBehavior {
  public:
   /// @param rounds number of exchange rounds to run before halting.
@@ -49,7 +48,7 @@ class ByzantineAAProcess final : public sim::ProcessBehavior {
   [[nodiscard]] const numeric::Rational& value() const noexcept { return value_; }
 
   /// The kernel actually running (an over-budget grid downgrades
-  /// kFixed/kCheck to kExact).
+  /// kFixed to kExact).
   [[nodiscard]] core::RankKernel kernel() const noexcept { return kernel_; }
 
  private:

@@ -286,10 +286,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
                                       ? options.approximation_iterations
                                       : default_approximation_iterations(params.t);
 
-  // Fan the runner's single observer slot out to the caller's probe and
-  // the telemetry sampler; with neither attached the run pays nothing.
-  obs::ObserverHub hub;
-  hub.add(config.observer);
   obs::Telemetry* telemetry =
       config.telemetry != nullptr && config.telemetry->active() ? config.telemetry : nullptr;
   if (telemetry != nullptr) {
@@ -307,7 +303,16 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     info.label = config.telemetry_label;
     if (!config.fault_plan.empty()) info.fault_plan = sim::to_spec(config.fault_plan);
     telemetry->begin_run(std::move(info));
-    hub.add(telemetry->round_observer());
+  }
+  // The runner's one observer slot: the caller's probe, then the
+  // telemetry sample. Without telemetry the caller's observer (possibly
+  // empty) goes in as it is, so the run pays nothing extra.
+  sim::RoundObserver observe_and_sample;
+  if (telemetry != nullptr) {
+    observe_and_sample = [&config, telemetry](sim::Round round, const sim::Network& network) {
+      if (config.observer) config.observer(round, network);
+      telemetry->sample_round(round, network);
+    };
   }
   setup_scope.close();
   {
@@ -319,7 +324,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     if (config.profiler != nullptr) {
       phase_hook.emplace(*config.profiler, config.algorithm, resolved_iterations);
     }
-    result.run = sim::run_to_completion(network, budget, hub.as_observer(),
+    result.run = sim::run_to_completion(network, budget,
+                                        telemetry != nullptr ? observe_and_sample : config.observer,
                                         phase_hook ? &*phase_hook : nullptr);
   }
   obs::prof::Scope check_scope(config.profiler, "check");

@@ -63,8 +63,8 @@ struct ScenarioConfig {
   RenamingOptions options;
   /// Extra safety margin on the round budget (0 = exact expected_steps).
   int extra_rounds = 0;
-  /// Single-slot per-round hook, kept for existing probes; composes with
-  /// telemetry through the obs::ObserverHub the harness builds.
+  /// Per-round hook, called after each round's receive phase and, when
+  /// telemetry is active, just before its per-round sample.
   sim::RoundObserver observer;
   /// Optional structured event trace (sends/deliveries/decisions);
   /// O(N^2) events per round, for debugging-scale scenarios only.

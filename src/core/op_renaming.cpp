@@ -56,25 +56,16 @@ void OpRenamingProcess::on_receive(Round round, const Inbox& inbox) {
   }
 
   if (kernel_ == RankKernel::kExact) {
-    exact_step(inbox, ranks_, accepted_, rejected_votes_);
+    exact_step(inbox);
   } else {
     engine_->step(inbox, selection_.timely(), accepted_, rejected_votes_);
     ranks_cache_valid_ = false;
-    if (kernel_ == RankKernel::kCheck) {
-      exact_step(inbox, shadow_ranks_, shadow_accepted_, shadow_rejected_);
-      if (engine_->materialize() != shadow_ranks_ || accepted_ != shadow_accepted_ ||
-          rejected_votes_ != shadow_rejected_) {
-        throw std::logic_error(
-            "OpRenamingProcess: fixed kernel diverged from the exact oracle");
-      }
-    }
   }
 
   if (round == 4 + iterations_) decide();
 }
 
-void OpRenamingProcess::exact_step(const Inbox& inbox, RankMap& ranks, std::set<Id>& accepted,
-                                   int& rejected) {
+void OpRenamingProcess::exact_step(const Inbox& inbox) {
   // Voting step: accept at most one vote per link (a link spamming
   // several arrays is provably faulty; counting them all would let one
   // Byzantine process outvote the trim).
@@ -84,7 +75,7 @@ void OpRenamingProcess::exact_step(const Inbox& inbox, RankMap& ranks, std::set<
     const auto* msg = std::get_if<sim::RanksMsg>(&*d.payload);
     if (fixed == nullptr && msg == nullptr) continue;
     if (per_link.contains(d.link)) {
-      ++rejected;
+      ++rejected_votes_;
       continue;
     }
     sim::RanksMsg converted;
@@ -95,7 +86,7 @@ void OpRenamingProcess::exact_step(const Inbox& inbox, RankMap& ranks, std::set<
     RankMap vote;
     if (!decode_vote(*msg, params_, options_, vote) ||
         (options_.validate_votes && !is_valid_ranks(selection_.timely(), vote, delta_))) {
-      ++rejected;
+      ++rejected_votes_;
       continue;
     }
     per_link.emplace(d.link, std::move(vote));
@@ -105,8 +96,8 @@ void OpRenamingProcess::exact_step(const Inbox& inbox, RankMap& ranks, std::set<
   votes.reserve(per_link.size());
   for (auto& [link, vote] : per_link) votes.push_back(std::move(vote));
 
-  ApproximateResult result = approximate(params_, accepted, ranks, votes);
-  ranks = std::move(result.new_ranks);
+  ApproximateResult result = approximate(params_, accepted_, ranks_, votes);
+  ranks_ = std::move(result.new_ranks);
 }
 
 void OpRenamingProcess::assign_initial_ranks() {
@@ -123,19 +114,6 @@ void OpRenamingProcess::assign_initial_ranks() {
   }
   engine_->assign_initial_ranks(accepted_);
   ranks_cache_valid_ = false;
-  if (kernel_ == RankKernel::kCheck) {
-    shadow_accepted_ = accepted_;
-    shadow_rejected_ = rejected_votes_;
-    shadow_ranks_.clear();
-    std::int64_t position = 0;
-    for (const Id id : shadow_accepted_) {
-      ++position;
-      shadow_ranks_.emplace(id, Rational(position) * delta_);
-    }
-    if (engine_->materialize() != shadow_ranks_) {
-      throw std::logic_error("OpRenamingProcess: fixed initial ranks diverged from exact");
-    }
-  }
 }
 
 const RankMap& OpRenamingProcess::ranks() const {

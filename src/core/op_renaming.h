@@ -22,8 +22,7 @@ namespace byzrename::core {
 /// The voting phase runs on one of two arithmetic kernels
 /// (RenamingOptions::rank_kernel): the fixed-width SoA engine
 /// (FixedVotingEngine, the default — zero heap allocations per voting
-/// round) or the exact-Rational oracle it is bit-identical to. kCheck
-/// runs both and throws on any divergence.
+/// round) or the exact-Rational oracle it is bit-identical to.
 ///
 /// Guarantees (Theorem IV.10): for N > 3t the decided names of correct
 /// processes are unique, order-preserving with respect to original ids,
@@ -59,17 +58,16 @@ class OpRenamingProcess final : public sim::ProcessBehavior {
   /// Votes rejected by decode/isValid across the whole run.
   [[nodiscard]] int rejected_votes() const noexcept { return rejected_votes_; }
   /// The kernel actually running (an over-budget instance downgrades
-  /// kFixed/kCheck to kExact).
+  /// kFixed to kExact).
   [[nodiscard]] RankKernel rank_kernel() const noexcept { return kernel_; }
 
  private:
   void assign_initial_ranks();
   void decide();
   /// One exact-oracle voting step over `inbox` (the pre-fixed-point
-  /// pipeline, verbatim): used by the kExact kernel and as the kCheck
-  /// shadow. Fixed-point votes are consumed via their exact equivalent.
-  void exact_step(const sim::Inbox& inbox, RankMap& ranks, std::set<sim::Id>& accepted,
-                  int& rejected);
+  /// pipeline, verbatim): the kExact kernel. Fixed-point votes are
+  /// consumed via their exact equivalent.
+  void exact_step(const sim::Inbox& inbox);
 
   sim::SystemParams params_;
   RenamingOptions options_;
@@ -78,17 +76,12 @@ class OpRenamingProcess final : public sim::ProcessBehavior {
 
   IdSelection selection_;
   std::set<sim::Id> accepted_;  ///< working copy, shrinks as ids are dropped
-  RankMap ranks_;               ///< exact-kernel state (empty on kFixed/kCheck)
+  RankMap ranks_;               ///< exact-kernel state (empty on kFixed)
 
   RankKernel kernel_ = RankKernel::kExact;
   std::optional<FixedVotingEngine> engine_;
   mutable RankMap ranks_cache_;  ///< materialized engine state for ranks()
   mutable bool ranks_cache_valid_ = false;
-
-  // kCheck: exact shadow of the fixed engine, compared after each step.
-  RankMap shadow_ranks_;
-  std::set<sim::Id> shadow_accepted_;
-  int shadow_rejected_ = 0;
 
   int rejected_votes_ = 0;
   bool decided_ = false;

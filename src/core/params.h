@@ -59,9 +59,6 @@ enum class RankKernel {
   kFixed,
   /// Exact arbitrary-precision Rational arithmetic: the oracle.
   kExact,
-  /// Runs kFixed while maintaining a shadow kExact state and throws
-  /// std::logic_error on any divergence. Test/diagnostic mode.
-  kCheck,
 };
 
 /// Parses a user-facing rank-kernel token (CLI --rank-kernel, campaign
@@ -70,18 +67,7 @@ enum class RankKernel {
     std::string_view token) noexcept {
   if (token == "fixed") return RankKernel::kFixed;
   if (token == "exact") return RankKernel::kExact;
-  if (token == "check") return RankKernel::kCheck;
   return std::nullopt;
-}
-
-/// Canonical token for a kernel (inverse of rank_kernel_from_token).
-[[nodiscard]] inline const char* rank_kernel_token(RankKernel kernel) noexcept {
-  switch (kernel) {
-    case RankKernel::kFixed: return "fixed";
-    case RankKernel::kExact: return "exact";
-    case RankKernel::kCheck: return "check";
-  }
-  return "fixed";
 }
 
 /// Configuration of the order-preserving renaming algorithm (Alg. 1).
@@ -101,8 +87,7 @@ struct RenamingOptions {
   /// Voting-phase arithmetic backend. The default fixed-width kernel is
   /// observably identical to the exact oracle (the cross-check suite
   /// asserts byte-identical verdicts/metrics/audit output) but an order
-  /// of magnitude cheaper; kExact remains as the oracle and kCheck runs
-  /// both in lockstep.
+  /// of magnitude cheaper; kExact remains as the oracle.
   RankKernel rank_kernel = RankKernel::kFixed;
   /// ABLATION ONLY: when false, skips the Alg. 2 isValid filter on
   /// received votes (structural decode checks still apply). Exists so

@@ -35,6 +35,17 @@ sim::RoundObserver with_deadline(sim::RoundObserver inner, double timeout_second
   };
 }
 
+ReproVerdict verdict_of(const core::ScenarioResult& result) {
+  ReproVerdict verdict;
+  verdict.kind = result.report.all_ok() ? FailureKind::kNone : FailureKind::kViolation;
+  verdict.classes = result.report.classes();
+  verdict.detail = result.report.detail;
+  verdict.rounds = result.run.rounds;
+  verdict.terminated = result.run.terminated;
+  verdict.max_name = static_cast<std::int64_t>(result.report.max_name);
+  return verdict;
+}
+
 ReproVerdict evaluate_scenario(const ReproScenario& scenario, double timeout_seconds) {
   ReproVerdict verdict;
   core::ScenarioConfig config = scenario.to_config();
@@ -42,13 +53,7 @@ ReproVerdict evaluate_scenario(const ReproScenario& scenario, double timeout_sec
     config.observer = with_deadline(std::move(config.observer), timeout_seconds);
   }
   try {
-    const core::ScenarioResult result = core::run_scenario(config);
-    verdict.kind = result.report.all_ok() ? FailureKind::kNone : FailureKind::kViolation;
-    verdict.classes = result.report.classes();
-    verdict.detail = result.report.detail;
-    verdict.rounds = result.run.rounds;
-    verdict.terminated = result.run.terminated;
-    verdict.max_name = static_cast<std::int64_t>(result.report.max_name);
+    verdict = verdict_of(core::run_scenario(config));
   } catch (const RunTimeoutError& error) {
     verdict.kind = FailureKind::kTimeout;
     verdict.detail = error.what();

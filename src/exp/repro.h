@@ -100,6 +100,11 @@ class RunTimeoutError : public std::runtime_error {
 [[nodiscard]] sim::RoundObserver with_deadline(sim::RoundObserver inner,
                                                double timeout_seconds);
 
+/// Digests a finished run: kNone if every check held, else kViolation
+/// with the checker's classes and detail. The one place a run becomes a
+/// verdict, shared by evaluate_scenario and `byzrename --verdict-out`.
+[[nodiscard]] ReproVerdict verdict_of(const core::ScenarioResult& result);
+
 /// Runs the scenario and digests the outcome. With @p timeout_seconds > 0
 /// a watchdog observer guards the run. Never throws on run failures —
 /// exceptions become kException verdicts; only malformed scenarios that

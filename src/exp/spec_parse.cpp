@@ -136,7 +136,7 @@ CampaignSpec parse_campaign_spec(std::string_view text) {
     } else if (key == "kernel") {
       const std::optional<core::RankKernel> kernel = core::rank_kernel_from_token(value);
       if (!kernel.has_value()) {
-        fail("kernel expects fixed, exact, or check, got '" + std::string(value) + "'");
+        fail("kernel expects fixed or exact, got '" + std::string(value) + "'");
       }
       spec.options.rank_kernel = *kernel;
     } else if (key == "no-validation") {

@@ -86,34 +86,6 @@ class TelemetrySink {
   virtual void on_run_end(const RunSummary& summary) { (void)summary; }
 };
 
-/// Fans the runner's single sim::RoundObserver slot out to any number of
-/// consumers, invoked in the order they were added. Exists because
-/// ScenarioConfig::observer is one slot: without the hub a bench could
-/// not keep its own probe lambda AND attach telemetry.
-class ObserverHub {
- public:
-  void add(sim::RoundObserver observer) {
-    if (observer) observers_.push_back(std::move(observer));
-  }
-
-  [[nodiscard]] bool empty() const noexcept { return observers_.empty(); }
-
-  void operator()(sim::Round round, const sim::Network& network) const {
-    for (const sim::RoundObserver& observer : observers_) observer(round, network);
-  }
-
-  /// A single observer that fans out to every added one. Captures this
-  /// hub by reference: the hub must outlive the run (the harness keeps
-  /// it on the stack around run_to_completion).
-  [[nodiscard]] sim::RoundObserver as_observer() const {
-    if (observers_.empty()) return {};
-    return [this](sim::Round round, const sim::Network& network) { (*this)(round, network); };
-  }
-
- private:
-  std::vector<sim::RoundObserver> observers_;
-};
-
 /// The hub the harness drives. Pay-for-what-you-use: with no sinks
 /// attached, active() is false and the harness skips sampling entirely —
 /// a run without telemetry costs exactly what it did before this layer
@@ -133,15 +105,10 @@ class Telemetry {
 
   void begin_run(RunInfo info);
 
-  /// Samples the network after a round's receive phase; wrap in a
-  /// RoundObserver via round_observer().
+  /// Samples the network after a round's receive phase; the harness
+  /// calls it from the runner's observer slot, after ScenarioConfig's
+  /// own observer.
   void sample_round(sim::Round round, const sim::Network& network);
-
-  [[nodiscard]] sim::RoundObserver round_observer() {
-    return [this](sim::Round round, const sim::Network& network) {
-      sample_round(round, network);
-    };
-  }
 
   void end_run(const core::ScenarioResult& result);
 

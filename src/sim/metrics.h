@@ -36,6 +36,8 @@ struct RoundMetrics {
   /// phase is observable, not just the whole-run maximum.
   std::size_t max_message_bits = 0;
   std::size_t max_correct_message_bits = 0;
+
+  friend bool operator==(const RoundMetrics&, const RoundMetrics&) = default;
 };
 
 /// Aggregated communication metrics for a whole run. Totals are

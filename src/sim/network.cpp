@@ -130,112 +130,7 @@ void Network::run_round(Round round) {
     // sender puts on one link this round shares it: evaluate it on the
     // link's first delivery and read it back for the rest.
     if (fault_injector_ != nullptr && !out.entries().empty()) fate_row_.assign(n, std::nullopt);
-    for (const Outbox::Entry& entry : out.entries()) {
-      if (event_log_ != nullptr) {
-        event_log_->record({round, trace::Event::Kind::kSend,
-                            static_cast<ProcessIndex>(sender), entry.dest, -1,
-                            byzantine_[sender], describe(*entry.payload)});
-      }
-      // Charge the exact size the binary codec produces, so the paper's
-      // bit-complexity bounds are checked against a real encoding.
-      const std::size_t payload_bits = encoded_bits(*entry.payload);
-      if (entry.dest.has_value() && byzantine_[sender]) round_metrics.equivocating_sends += 1;
-      auto deliver = [&](std::size_t receiver) {
-        FaultInjector::Fate fate;
-        if (fault_injector_ != nullptr) {
-          std::optional<FaultInjector::Fate>& known = fate_row_[receiver];
-          if (!known) {
-            known = fault_injector_->fate(round, static_cast<ProcessIndex>(sender),
-                                          static_cast<ProcessIndex>(receiver));
-          }
-          fate = *known;
-        }
-        if (fate.drop) {
-          round_metrics.injected_drops += 1;
-          if (event_log_ != nullptr) {
-            event_log_->record({round, trace::Event::Kind::kFault,
-                                static_cast<ProcessIndex>(receiver), std::nullopt,
-                                link_of_sender_[receiver][sender], byzantine_[receiver],
-                                "drop"});
-          }
-          return;
-        }
-        round_metrics.messages += 1;
-        round_metrics.bits += payload_bits;
-        round_metrics.max_message_bits = std::max(round_metrics.max_message_bits, payload_bits);
-        if (!byzantine_[sender]) {
-          round_metrics.correct_messages += 1;
-          round_metrics.correct_bits += payload_bits;
-          round_metrics.max_correct_message_bits =
-              std::max(round_metrics.max_correct_message_bits, payload_bits);
-        }
-        // Sharing, not copying: the delivery aliases the sender's single
-        // payload object behind a refcount bump.
-        const Delivery delivery{link_of_sender_[receiver][sender], entry.payload};
-        if (event_log_ != nullptr && (fate.delay > 0 || fate.copies > 1)) {
-          std::string note;
-          if (fate.copies > 1) note = "dup x" + std::to_string(fate.copies);
-          if (fate.delay > 0) {
-            if (!note.empty()) note += ", ";
-            note += "delay +" + std::to_string(fate.delay);
-          }
-          event_log_->record({round, trace::Event::Kind::kFault,
-                              static_cast<ProcessIndex>(receiver), std::nullopt,
-                              delivery.link, byzantine_[receiver], std::move(note)});
-        }
-        if (fate.delay > 0) {
-          round_metrics.injected_delays += 1;
-          std::vector<std::pair<std::size_t, Delivery>>* batch = nullptr;
-          for (DelayedBatch& candidate : delayed_) {
-            if (candidate.due == round + fate.delay) {
-              batch = &candidate.entries;
-              break;
-            }
-          }
-          if (batch == nullptr) {
-            delayed_.push_back({round + fate.delay, {}});
-            batch = &delayed_.back().entries;
-          }
-          // A delivery that is both duplicated and delayed keeps its
-          // extra copies: they travel with the delayed message.
-          batch->emplace_back(receiver, delivery);
-          for (int copy = 1; copy < fate.copies; ++copy) {
-            round_metrics.injected_duplicates += 1;
-            batch->emplace_back(receiver, delivery);
-          }
-          return;
-        }
-        inboxes_[receiver].push_back(delivery);
-        for (int copy = 1; copy < fate.copies; ++copy) {
-          round_metrics.injected_duplicates += 1;
-          inboxes_[receiver].push_back(delivery);
-        }
-      };
-      if (entry.dest.has_value()) {
-        const auto dest = static_cast<std::size_t>(*entry.dest);
-        if (dest >= n) throw std::out_of_range("Network: send_to destination out of range");
-        deliver(dest);
-      } else if (fault_injector_ == nullptr && event_log_ == nullptr) {
-        // Fault-free, untraced broadcast: identical bookkeeping to n
-        // deliver() calls, folded out of the fan-out loop. The O(N^2)
-        // echo steps (and every voting round) take this path in
-        // benchmarks and clean campaigns.
-        round_metrics.messages += n;
-        round_metrics.bits += n * payload_bits;
-        round_metrics.max_message_bits = std::max(round_metrics.max_message_bits, payload_bits);
-        if (!byzantine_[sender]) {
-          round_metrics.correct_messages += n;
-          round_metrics.correct_bits += n * payload_bits;
-          round_metrics.max_correct_message_bits =
-              std::max(round_metrics.max_correct_message_bits, payload_bits);
-        }
-        for (std::size_t receiver = 0; receiver < n; ++receiver) {
-          inboxes_[receiver].push_back({link_of_sender_[receiver][sender], entry.payload});
-        }
-      } else {
-        for (std::size_t receiver = 0; receiver < n; ++receiver) deliver(receiver);
-      }
-    }
+    for (const Outbox::Entry& entry : out.entries()) fan_out(round, sender, entry, round_metrics);
   }
 
   // Impersonation (Okun): the external adversary appends up to k forged
@@ -331,6 +226,99 @@ void Network::run_round(Round round) {
                           std::nullopt, -1, false,
                           name.has_value() ? "name=" + std::to_string(*name) : "(no name)"});
     }
+  }
+}
+
+void Network::fan_out(Round round, std::size_t sender, const Outbox::Entry& entry,
+                      RoundMetrics& metrics) {
+  if (event_log_ != nullptr) {
+    event_log_->record({round, trace::Event::Kind::kSend,
+                        static_cast<ProcessIndex>(sender), entry.dest, -1,
+                        byzantine_[sender], describe(*entry.payload)});
+  }
+  // Charge the exact size the binary codec produces, so the paper's
+  // bit-complexity bounds are checked against a real encoding.
+  const std::size_t payload_bits = encoded_bits(*entry.payload);
+  if (entry.dest.has_value() && byzantine_[sender]) metrics.equivocating_sends += 1;
+  // A broadcast fans out to every receiver, a targeted send to one.
+  std::size_t first = 0;
+  std::size_t last = behaviors_.size();
+  if (entry.dest.has_value()) {
+    first = static_cast<std::size_t>(*entry.dest);
+    if (first >= last) throw std::out_of_range("Network: send_to destination out of range");
+    last = first + 1;
+  }
+  std::size_t delivered = 0;
+  for (std::size_t receiver = first; receiver < last; ++receiver) {
+    // The link's fate is all that separates a faulted run from the
+    // paper's reliable model, where every link's fate is Fate{}. The
+    // branch hints keep that model's path a tight loop.
+    FaultInjector::Fate fate;
+    if (fault_injector_ != nullptr) [[unlikely]] {
+      std::optional<FaultInjector::Fate>& known = fate_row_[receiver];
+      if (!known) {
+        known = fault_injector_->fate(round, static_cast<ProcessIndex>(sender),
+                                      static_cast<ProcessIndex>(receiver));
+      }
+      fate = *known;
+    }
+    const LinkIndex link = link_of_sender_[receiver][sender];
+    // A drop dominates: a dropped link carries no duplicates either.
+    if (fate.drop) [[unlikely]] {
+      metrics.injected_drops += 1;
+      if (event_log_ != nullptr) {
+        event_log_->record({round, trace::Event::Kind::kFault,
+                            static_cast<ProcessIndex>(receiver), std::nullopt, link,
+                            byzantine_[receiver], "drop"});
+      }
+      continue;
+    }
+    delivered += 1;
+    // Sharing, not copying: each delivery aliases the sender's single
+    // payload object behind a refcount bump.
+    if (fate.copies == 1 && fate.delay == 0) [[likely]] {  // the reliable model's fate
+      inboxes_[receiver].push_back({link, entry.payload});
+      continue;
+    }
+    if (event_log_ != nullptr) {
+      std::string note;
+      if (fate.copies > 1) note = "dup x" + std::to_string(fate.copies);
+      if (fate.delay > 0) {
+        if (!note.empty()) note += ", ";
+        note += "delay +" + std::to_string(fate.delay);
+      }
+      event_log_->record({round, trace::Event::Kind::kFault,
+                          static_cast<ProcessIndex>(receiver), std::nullopt, link,
+                          byzantine_[receiver], std::move(note)});
+    }
+    metrics.injected_duplicates += static_cast<std::size_t>(fate.copies - 1);
+    if (fate.delay == 0) {
+      for (int copy = 0; copy < fate.copies; ++copy) {
+        inboxes_[receiver].push_back({link, entry.payload});
+      }
+      continue;
+    }
+    // A delayed delivery keeps its extra copies: they travel with it.
+    metrics.injected_delays += 1;
+    const Round due = round + fate.delay;
+    auto batch = std::find_if(delayed_.begin(), delayed_.end(),
+                              [due](const DelayedBatch& b) { return b.due == due; });
+    if (batch == delayed_.end()) batch = delayed_.insert(delayed_.end(), {due, {}});
+    for (int copy = 0; copy < fate.copies; ++copy) {
+      batch->entries.emplace_back(receiver, Delivery{link, entry.payload});
+    }
+  }
+  // Dropped links cost nothing; delayed ones are charged now, in the
+  // round they were sent.
+  if (delivered == 0) return;
+  metrics.messages += delivered;
+  metrics.bits += delivered * payload_bits;
+  metrics.max_message_bits = std::max(metrics.max_message_bits, payload_bits);
+  if (!byzantine_[sender]) {
+    metrics.correct_messages += delivered;
+    metrics.correct_bits += delivered * payload_bits;
+    metrics.max_correct_message_bits =
+        std::max(metrics.max_correct_message_bits, payload_bits);
   }
 }
 

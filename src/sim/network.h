@@ -125,6 +125,12 @@ class Network {
   }
 
  private:
+  /// Delivers one outbox entry to its receivers (every process for a
+  /// broadcast, the destination of a send_to), each as its link's fate
+  /// says, and charges the entry's messages and bits to @p metrics.
+  void fan_out(Round round, std::size_t sender, const Outbox::Entry& entry,
+               RoundMetrics& metrics);
+
   std::vector<std::unique_ptr<ProcessBehavior>> behaviors_;
   std::vector<bool> byzantine_;
   /// Which processes have been observed done(); drives decide events.

@@ -22,6 +22,7 @@
 #include "sim/payload.h"
 #include "sim/process.h"
 #include "sim/rng.h"
+#include "trace/event_log.h"
 
 namespace byzrename {
 namespace {
@@ -610,6 +611,36 @@ TEST(FaultHarness, ForgeDropDelayCompositionIsBitReproducible) {
             second.run.metrics.total_injected_forgeries());
   EXPECT_EQ(first.run.metrics.total_injected_restarts(),
             second.run.metrics.total_injected_restarts());
+}
+
+TEST(FaultHarness, AttachedEventLogChangesNoOutcome) {
+  // Tracing only observes: with or without an event log, a clean and a
+  // faulted run decide the same names in the same rounds, charge the
+  // same per-round counters and get the same checker report.
+  for (const char* plan : {"", "drop:0.1+dup:0.1+delay:0.1x1+forge:1"}) {
+    SCOPED_TRACE(std::string("plan=") + plan);
+    core::ScenarioConfig config;
+    config.params = {.n = 13, .t = 4};
+    config.adversary = "asymflood";
+    config.seed = 17;
+    config.fault_plan = sim::parse_fault_plan(plan);
+    config.extra_rounds = 8;
+    const core::ScenarioResult untraced = core::run_scenario(config);
+    trace::EventLog log;
+    config.event_log = &log;
+    const core::ScenarioResult traced = core::run_scenario(config);
+
+    EXPECT_FALSE(log.events().empty());
+    EXPECT_EQ(traced.run.decisions, untraced.run.decisions);
+    EXPECT_EQ(traced.run.decide_rounds, untraced.run.decide_rounds);
+    EXPECT_EQ(traced.run.metrics.per_round(), untraced.run.metrics.per_round());
+    EXPECT_EQ(traced.report.all_ok(), untraced.report.all_ok());
+    EXPECT_EQ(traced.report.classes(), untraced.report.classes());
+    EXPECT_EQ(traced.report.detail, untraced.report.detail);
+    EXPECT_EQ(traced.report.max_name, untraced.report.max_name);
+    EXPECT_EQ(traced.report.min_name, untraced.report.min_name);
+    EXPECT_EQ(traced.report.violations.size(), untraced.report.violations.size());
+  }
 }
 
 TEST(AdversaryRegistry, EveryListedNameResolvesAndUnknownThrows) {

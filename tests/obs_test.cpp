@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -13,7 +12,6 @@
 
 #include "core/harness.h"
 #include "sim/network.h"
-#include "sim/rng.h"
 #include "obs/json.h"
 #include "obs/run_report.h"
 #include "obs/schema.h"
@@ -188,42 +186,42 @@ class JsonReader {
   std::size_t pos_ = 0;
 };
 
-// --- ObserverHub -----------------------------------------------------------
+// --- The harness's observer slot --------------------------------------------
 
-class IdleBehavior final : public sim::ProcessBehavior {
+// Logs each telemetry round sample into a stream shared with the observer.
+class RoundOrderSink final : public TelemetrySink {
  public:
-  void on_send(sim::Round, sim::Outbox&) override {}
-  void on_receive(sim::Round, const sim::Inbox&) override {}
-  [[nodiscard]] bool done() const override { return true; }
+  explicit RoundOrderSink(std::vector<std::string>& log) : log_(log) {}
+  void on_round(const RoundSample& sample) override {
+    log_.push_back("sample " + std::to_string(sample.round));
+  }
+
+ private:
+  std::vector<std::string>& log_;
 };
 
-sim::Network make_idle_network() {
-  std::vector<std::unique_ptr<sim::ProcessBehavior>> behaviors;
-  behaviors.push_back(std::make_unique<IdleBehavior>());
-  return sim::Network(std::move(behaviors), {false}, sim::Rng(1));
-}
+TEST(HarnessObserverSlot, ObserverThenTelemetrySampleEveryRound) {
+  std::vector<std::string> log;
+  RoundOrderSink sink(log);
+  Telemetry telemetry;
+  telemetry.add_sink(sink);
 
-TEST(ObserverHub, FansOutInRegistrationOrder) {
-  ObserverHub hub;
-  std::vector<int> order;
-  hub.add([&order](sim::Round, const sim::Network&) { order.push_back(1); });
-  hub.add([&order](sim::Round, const sim::Network&) { order.push_back(2); });
-  hub.add([&order](sim::Round, const sim::Network&) { order.push_back(3); });
+  core::ScenarioConfig config;
+  config.params = {.n = 7, .t = 2};
+  config.adversary = "split";
+  config.telemetry = &telemetry;
+  config.observer = [&log](sim::Round round, const sim::Network&) {
+    log.push_back("observe " + std::to_string(round));
+  };
+  const core::ScenarioResult result = core::run_scenario(config);
 
-  const sim::RoundObserver fused = hub.as_observer();
-  ASSERT_TRUE(static_cast<bool>(fused));
-  const sim::Network network = make_idle_network();
-  fused(1, network);
-  fused(2, network);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 1, 2, 3}));
-}
-
-TEST(ObserverHub, EmptyHubYieldsNullObserver) {
-  ObserverHub hub;
-  EXPECT_TRUE(hub.empty());
-  EXPECT_FALSE(static_cast<bool>(hub.as_observer()));
-  hub.add(sim::RoundObserver{});  // null observers are skipped, hub stays empty
-  EXPECT_TRUE(hub.empty());
+  std::vector<std::string> expected;
+  for (sim::Round round = 1; round <= result.run.rounds; ++round) {
+    expected.push_back("observe " + std::to_string(round));
+    expected.push_back("sample " + std::to_string(round));
+  }
+  ASSERT_GT(result.run.rounds, 0);
+  EXPECT_EQ(log, expected);
 }
 
 TEST(Telemetry, InactiveWithoutSinks) {

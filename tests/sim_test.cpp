@@ -5,10 +5,12 @@
 #include <memory>
 #include <set>
 
+#include "sim/fault.h"
 #include "sim/network.h"
 #include "sim/payload.h"
 #include "sim/process.h"
 #include "sim/runner.h"
+#include "trace/event_log.h"
 
 namespace byzrename::sim {
 namespace {
@@ -161,6 +163,32 @@ TEST(Network, MetricsSeparateByzantineTraffic) {
   EXPECT_EQ(net.metrics().per_round()[0].messages, 3u);          // broadcast(2) + targeted(1)
   EXPECT_EQ(net.metrics().per_round()[0].correct_messages, 2u);  // broadcast only
   EXPECT_EQ(net.metrics().per_round()[0].equivocating_sends, 1u);
+}
+
+TEST(Network, DropDominatesAnEarlierDuplication) {
+  // The dup rule fires first (copies = 2), then the drop rule: the link
+  // is dropped once, and no duplicate is counted or logged.
+  constexpr int kN = 4;
+  const FaultInjector injector(parse_fault_plan("dup:1+drop:1"), 5);
+  trace::EventLog log;
+  Network net = make_network(kN, 1);
+  net.attach_fault_injector(&injector);
+  net.attach_event_log(&log);
+  net.run_round(1);
+
+  std::map<std::pair<ProcessIndex, LinkIndex>, int> drops_per_link;
+  for (const trace::Event& event : log.events()) {
+    if (event.kind != trace::Event::Kind::kFault) continue;
+    EXPECT_EQ(event.payload, "drop");
+    drops_per_link[{event.actor, event.link}] += 1;
+  }
+  EXPECT_EQ(drops_per_link.size(), static_cast<std::size_t>(kN * kN));
+  for (const auto& [link, drops] : drops_per_link) EXPECT_EQ(drops, 1);
+  const RoundMetrics& round = net.metrics().per_round().at(0);
+  EXPECT_EQ(round.injected_drops, static_cast<std::size_t>(kN * kN));
+  EXPECT_EQ(round.injected_duplicates, 0u);
+  EXPECT_EQ(round.messages, 0u);
+  EXPECT_EQ(round.bits, 0u);
 }
 
 TEST(Metrics, RunningTotalsMatchPerRoundSums) {

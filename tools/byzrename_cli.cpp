@@ -76,9 +76,8 @@ void print_usage() {
       "  --adversary <name>    Byzantine strategy (default silent)\n"
       "  --seed <uint64>       run seed (default 1)\n"
       "  --iterations <int>    voting iterations override (Alg. 1 only)\n"
-      "  --rank-kernel <k>     voting arithmetic: fixed (default), exact (the\n"
-      "                        oracle), or check (both in lockstep, throw on\n"
-      "                        divergence); all three are observably identical\n"
+      "  --rank-kernel <k>     voting arithmetic: fixed (default) or exact (the\n"
+      "                        oracle); the two are observably identical\n"
       "  --no-validation       ABLATION: disable the Alg. 2 isValid filter\n"
       "  --ids <a,b,c,...>     explicit correct-process ids\n"
       "  --fault-plan <spec>   inject link/crash/partition faults, e.g.\n"
@@ -218,7 +217,7 @@ Options parse(int argc, char** argv) {
       const std::string value = next_value(i);
       const auto kernel = core::rank_kernel_from_token(value);
       if (!kernel.has_value()) {
-        throw CliError{"--rank-kernel expects fixed, exact, or check, got '" + value + "'"};
+        throw CliError{"--rank-kernel expects fixed or exact, got '" + value + "'"};
       }
       options.config.options.rank_kernel = *kernel;
     } else if (arg == "--no-validation") {
@@ -786,15 +785,7 @@ int main(int argc, char** argv) {
     scenario.validate_votes = options.config.options.validate_votes;
     scenario.extra_rounds = options.config.extra_rounds;
     scenario.fault_plan = options.config.fault_plan;
-    exp::ReproVerdict verdict;
-    verdict.kind =
-        result.report.all_ok() ? exp::FailureKind::kNone : exp::FailureKind::kViolation;
-    verdict.classes = result.report.classes();
-    verdict.detail = result.report.detail;
-    verdict.rounds = result.run.rounds;
-    verdict.terminated = result.run.terminated;
-    verdict.max_name = static_cast<std::int64_t>(result.report.max_name);
-    svc::write_verdict_document(verdict_out, scenario, verdict);
+    svc::write_verdict_document(verdict_out, scenario, exp::verdict_of(result));
   }
 
   bool audit_ok = true;
