@@ -61,6 +61,7 @@ RegistryForgerySource::RegistryForgerySource(const AdversaryEnv& env)
   } else {
     ghost_id_ = all_ids.empty() ? 1 : all_ids.back() + 1;
   }
+  ghost_ = {sim::IdMsg{ghost_id_}, sim::EchoMsg{ghost_id_}, sim::ReadyMsg{ghost_id_}};
 }
 
 sim::PayloadRef RegistryForgerySource::forge(sim::Round round, sim::ProcessIndex spoofed_sender,
@@ -72,10 +73,11 @@ sim::PayloadRef RegistryForgerySource::forge(sim::Round round, sim::ProcessIndex
   if (strategy == "ghost") {
     // A phantom process walks the selection protocol: announce, echo
     // itself, stay Ready forever. Stable across rounds and receivers so
-    // the phantom looks like one persistent (forged) participant.
-    if (round == 1) return sim::IdMsg{ghost_id_};
-    if (round == 2) return sim::EchoMsg{ghost_id_};
-    return sim::ReadyMsg{ghost_id_};
+    // the phantom looks like one persistent (forged) participant, so
+    // every slot shares the payloads built once in the constructor.
+    if (round == 1) return ghost_[0];
+    if (round == 2) return ghost_[1];
+    return ghost_[2];
   }
   if (strategy == "replay") {
     // Consistent impersonation: say exactly what the spoofed sender

@@ -1,6 +1,7 @@
 #ifndef BYZRENAME_ADVERSARY_STRATEGIES_FORGERY_H
 #define BYZRENAME_ADVERSARY_STRATEGIES_FORGERY_H
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -36,7 +37,8 @@ namespace byzrename::adversary {
 /// The registry-backed payload supplier the harness attaches to the
 /// network when the fault plan contains forge rules. Stateless after
 /// construction: forge() is a pure function of its arguments and the
-/// environment captured here.
+/// environment captured here, and the ghost payloads, which never vary,
+/// are built here once and shared by every slot.
 class RegistryForgerySource final : public sim::ForgerySource {
  public:
   explicit RegistryForgerySource(const AdversaryEnv& env);
@@ -53,6 +55,9 @@ class RegistryForgerySource final : public sim::ForgerySource {
   /// The ghost phantom's id: the midpoint of the median gap of the real
   /// id space (an order boundary), guaranteed fresh.
   sim::Id ghost_id_ = 0;
+  /// The ghost's IdMsg, EchoMsg and ReadyMsg of ghost_id_, for round 1,
+  /// round 2 and every later round.
+  std::array<sim::PayloadRef, 3> ghost_;
   /// Correct ids sorted ascending; basis of the ranklie reversal.
   std::vector<sim::Id> sorted_ids_;
 };

@@ -149,16 +149,11 @@ void IdSelection::on_send(Round step, Outbox& out) {
       for (const Id id : ids_) out.broadcast(EchoMsg{id});
       break;
     case 3:
-      for (const Id id : ids_) {
-        out.broadcast(ReadyMsg{id});
-        ready_sent_.insert(id);
-      }
+      for (const Id id : ids_) out.broadcast(ReadyMsg{id});
+      ready_sent_.assign(ids_.begin(), ids_.end());
       break;
     case 4:
-      for (const Id id : ids_) {
-        out.broadcast(ReadyMsg{id});
-        ready_sent_.insert(id);
-      }
+      for (const Id id : ids_) out.broadcast(ReadyMsg{id});
       break;
     default:
       throw std::logic_error("IdSelection::on_send: step out of range");
@@ -183,8 +178,10 @@ void IdSelection::on_receive(Round step, const Inbox& inbox) {
         auto& seen = seen_links[static_cast<std::size_t>(d.link)];
         if (seen != 0) continue;
         seen = 1;
-        ids_.insert(msg->id);
+        ids_.push_back(msg->id);
       }
+      std::sort(ids_.begin(), ids_.end());
+      ids_.erase(std::unique(ids_.begin(), ids_.end()), ids_.end());
       break;
     }
     case 2: {
@@ -193,8 +190,9 @@ void IdSelection::on_receive(Round step, const Inbox& inbox) {
       canonical_keys<EchoMsg>(inbox, echo_pairs);
       ids_.clear();
       count_links(params_.n, echo_pairs).for_each([&](Id id, int count) {
-        if (count >= quorum) ids_.insert(id);
+        if (count >= quorum) ids_.push_back(id);
       });
+      std::sort(ids_.begin(), ids_.end());
       break;
     }
     case 3: {
@@ -206,8 +204,12 @@ void IdSelection::on_receive(Round step, const Inbox& inbox) {
         if (count >= quorum) timely_.insert(id);
         // Amplification: a weak quorum of Readys means at least one
         // correct process observed an Echo quorum, so join in step 4.
-        if (count >= weak_quorum && !ready_sent_.contains(id)) ids_.insert(id);
+        if (count >= weak_quorum &&
+            !std::binary_search(ready_sent_.begin(), ready_sent_.end(), id)) {
+          ids_.push_back(id);
+        }
       });
+      std::sort(ids_.begin(), ids_.end());
       break;
     }
     case 4: {

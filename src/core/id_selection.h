@@ -34,7 +34,8 @@ namespace byzrename::core {
 /// The network hands each inbox over ordered by link label
 /// (sim::ProcessBehavior::on_receive), so the keys arrive grouped by link
 /// and only a link whose ids are not already ascending needs sorting;
-/// correct senders iterate a std::set, so theirs are. The tally stays
+/// correct senders broadcast from a sorted, duplicate-free id vector, so
+/// theirs are strictly ascending. The tally stays
 /// total for any inbox: one descending link in the append pass falls
 /// back to sorting the whole step's keys.
 class IdSelection {
@@ -66,14 +67,18 @@ class IdSelection {
   sim::SystemParams params_;
   sim::Id my_id_;
 
-  /// Working id set carried between steps (the paper's `Ids` variable).
-  std::set<sim::Id> ids_;
+  /// Working id set carried between steps (the paper's `Ids` variable):
+  /// sorted and duplicate-free, rebuilt in place each step so its
+  /// capacity carries over.
+  std::vector<sim::Id> ids_;
   /// Step 3's distinct (link, id) Ready keys, sorted; step 4 counts their
   /// linear merge with its own keys, so a pair Readied in both steps
   /// counts once, then releases them.
   std::vector<LinkId> ready_pairs_;
-  /// Ids this process has already broadcast Ready for (step 3).
-  std::set<sim::Id> ready_sent_;
+  /// Ids this process broadcast Ready for in step 3 (step 2's `ids_`,
+  /// sorted and duplicate-free); step 3's receive keeps them out of
+  /// step 4's Readys.
+  std::vector<sim::Id> ready_sent_;
 
   std::set<sim::Id> timely_;
   std::set<sim::Id> accepted_;

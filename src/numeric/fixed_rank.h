@@ -3,8 +3,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "numeric/bigint.h"
 #include "numeric/rational.h"
@@ -110,6 +112,76 @@ inline bool limb_is_negative(const limb_t* v, int w) noexcept {
 inline void limb_sign_extend(limb_t* v, int from_w, int to_w) noexcept {
   const limb_t fill = limb_is_negative(v, from_w) ? ~limb_t{0} : limb_t{0};
   for (int i = from_w; i < to_w; ++i) v[i] = fill;
+}
+
+/// True iff all @p w limbs are zero.
+inline bool limb_is_zero(const limb_t* v, int w) noexcept {
+  for (int i = 0; i < w; ++i) {
+    if (v[i] != 0) return false;
+  }
+  return true;
+}
+
+/// Number of significant bits of an unsigned value (0 for zero).
+inline std::size_t limb_bit_length(const limb_t* v, int w) noexcept {
+  for (int i = w - 1; i >= 0; --i) {
+    if (v[i] != 0) return static_cast<std::size_t>(64 * i + std::bit_width(v[i]));
+  }
+  return 0;
+}
+
+/// Trailing zero bits of a nonzero unsigned value.
+inline int limb_ctz(const limb_t* v, int w) noexcept {
+  int i = 0;
+  while (i < w - 1 && v[i] == 0) ++i;
+  return 64 * i + std::countr_zero(v[i]);
+}
+
+/// v >>= bits in place (unsigned, 0 <= bits < 64 * w).
+inline void limb_shr(limb_t* v, int w, int bits) noexcept {
+  const int words = bits / 64;
+  const int rest = bits % 64;
+  for (int i = 0; i < w; ++i) {
+    const int src = i + words;
+    limb_t word = src < w ? v[src] >> rest : 0;
+    if (rest != 0 && src + 1 < w) word |= v[src + 1] << (64 - rest);
+    v[i] = word;
+  }
+}
+
+/// r = a << bits (unsigned, 0 <= bits < 64 * w); bits shifted past the
+/// top limb are lost.
+inline void limb_shl(limb_t* r, const limb_t* a, int w, int bits) noexcept {
+  const int words = bits / 64;
+  const int rest = bits % 64;
+  for (int i = w - 1; i >= 0; --i) {
+    const int src = i - words;
+    limb_t word = src >= 0 ? a[src] << rest : 0;
+    if (rest != 0 && src - 1 >= 0) word |= a[src - 1] >> (64 - rest);
+    r[i] = word;
+  }
+}
+
+/// g = gcd(a, b) over @p w unsigned limbs by binary (Stein) steps:
+/// shifts, compares and subtractions only, so no division; gcd(0, b) == b.
+/// Clobbers @p a and @p b, which the caller owns like every buffer these
+/// kernels touch.
+inline void limb_gcd(limb_t* g, limb_t* a, limb_t* b, int w) noexcept {
+  if (limb_is_zero(a, w) || limb_is_zero(b, w)) {
+    const limb_t* other = limb_is_zero(a, w) ? b : a;
+    for (int i = 0; i < w; ++i) g[i] = other[i];
+    return;
+  }
+  const int shift = std::min(limb_ctz(a, w), limb_ctz(b, w));
+  limb_shr(a, w, limb_ctz(a, w));
+  do {
+    limb_shr(b, w, limb_ctz(b, w));
+    if (limb_cmp(a, b, w) > 0) {
+      for (int i = 0; i < w; ++i) std::swap(a[i], b[i]);
+    }
+    limb_sub_n(b, b, a, w);
+  } while (!limb_is_zero(b, w));
+  limb_shl(g, a, w, shift);
 }
 
 /// Signed three-way compare of two two's-complement values: flipping the

@@ -1,6 +1,9 @@
 #include "sim/codec.h"
 
+#include <algorithm>
+#include <array>
 #include <limits>
+#include <stdexcept>
 
 #include "numeric/bigint.h"
 #include "numeric/fixed_rank.h"
@@ -11,6 +14,8 @@ namespace byzrename::sim {
 namespace {
 
 using numeric::BigInt;
+using numeric::kFixedRankLimbs;
+using numeric::limb_t;
 using numeric::Rational;
 
 enum class Kind : std::uint8_t {
@@ -26,60 +31,201 @@ enum class Kind : std::uint8_t {
 };
 
 // --- writing ---------------------------------------------------------------
+// The wire layout is written once, by the put_* templates below, over a
+// Sink: ByteSink appends the bytes (encode), ByteCounter only counts them
+// (encoded_bits). A number's magnitude reports its byte length up front
+// and yields its bytes only to a sink that stores them, so sizing a
+// payload touches no heap and cannot drift from the bytes encode emits.
 
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(value) | 0x80);
-    value >>= 7;
+class ByteSink {
+ public:
+  explicit ByteSink(std::vector<std::uint8_t>& out) noexcept : out_(out) {}
+  void put(std::uint8_t byte) { out_.push_back(byte); }
+  void put(const std::vector<std::uint8_t>& bytes) {
+    out_.insert(out_.end(), bytes.begin(), bytes.end());
   }
-  out.push_back(static_cast<std::uint8_t>(value));
+  template <typename Magnitude>
+  void put_magnitude(const Magnitude& magnitude) {
+    put(magnitude.bytes());
+  }
+
+ private:
+  std::vector<std::uint8_t>& out_;
+};
+
+class ByteCounter {
+ public:
+  void put(std::uint8_t /*byte*/) noexcept { ++size_; }
+  void put(const std::vector<std::uint8_t>& bytes) noexcept { size_ += bytes.size(); }
+  template <typename Magnitude>
+  void put_magnitude(const Magnitude& magnitude) noexcept {
+    size_ += magnitude.byte_length();
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+ private:
+  std::size_t size_ = 0;
+};
+
+/// Magnitude of an exact BigInt (RanksMsg and AAValueMsg rationals).
+struct BigMagnitude {
+  const BigInt& value;
+  [[nodiscard]] std::size_t byte_length() const noexcept { return (value.bit_length() + 7) / 8; }
+  [[nodiscard]] std::vector<std::uint8_t> bytes() const { return value.magnitude_bytes(); }
+};
+
+/// Magnitude of the exact quotient value / divisor on fixed limbs: one
+/// side of a grid rank in lowest terms. Its bit length is known without
+/// dividing; only bytes() divides, and only a byte sink calls it.
+struct GridQuotient {
+  std::array<limb_t, kFixedRankLimbs> value{};
+  const limb_t* divisor = nullptr;  ///< kFixedRankLimbs limbs, shared by both sides
+  std::size_t bits = 0;
+
+  [[nodiscard]] std::size_t byte_length() const noexcept { return (bits + 7) / 8; }
+  [[nodiscard]] std::vector<std::uint8_t> bytes() const {
+    return (BigInt::from_words64(value.data(), kFixedRankLimbs, false) /
+            BigInt::from_words64(divisor, kFixedRankLimbs, false))
+        .magnitude_bytes();
+  }
+};
+
+/// Bit length of a / g for a divisor g of a (g >= 1): the quotient has
+/// k or k + 1 bits, k = bits(a) - bits(g), and it is the latter exactly
+/// when a >= g << k.
+std::size_t quotient_bits(const limb_t* a, const limb_t* g, int w) noexcept {
+  const std::size_t a_bits = numeric::limb_bit_length(a, w);
+  if (a_bits == 0) return 0;
+  const std::size_t k = a_bits - numeric::limb_bit_length(g, w);
+  limb_t shifted[kFixedRankLimbs];
+  numeric::limb_shl(shifted, g, w, static_cast<int>(k));
+  return k + (numeric::limb_cmp(a, shifted, w) >= 0 ? 1 : 0);
 }
 
-void put_svarint(std::vector<std::uint8_t>& out, std::int64_t value) {
+template <typename Sink>
+void put_varint(Sink& sink, std::uint64_t value) {
+  while (value >= 0x80) {
+    sink.put(static_cast<std::uint8_t>(value) | 0x80);
+    value >>= 7;
+  }
+  sink.put(static_cast<std::uint8_t>(value));
+}
+
+template <typename Sink>
+void put_svarint(Sink& sink, std::int64_t value) {
   // Zigzag: interleave signs so small magnitudes encode small.
   const auto raw = static_cast<std::uint64_t>(value);
-  put_varint(out, (raw << 1) ^ static_cast<std::uint64_t>(value >> 63));
+  put_varint(sink, (raw << 1) ^ static_cast<std::uint64_t>(value >> 63));
 }
 
-void put_bigint(std::vector<std::uint8_t>& out, const BigInt& value) {
-  const std::vector<std::uint8_t> magnitude = value.magnitude_bytes();
-  put_varint(out, (static_cast<std::uint64_t>(magnitude.size()) << 1) |
-                      (value.is_negative() ? 1u : 0u));
-  out.insert(out.end(), magnitude.begin(), magnitude.end());
-}
-
-void put_rational(std::vector<std::uint8_t>& out, const Rational& value) {
-  put_bigint(out, value.numerator());
+template <typename Sink, typename Magnitude>
+void put_rational(Sink& sink, bool negative, const Magnitude& numerator,
+                  const Magnitude& denominator) {
+  put_varint(sink, (static_cast<std::uint64_t>(numerator.byte_length()) << 1) |
+                       (negative ? 1u : 0u));
+  sink.put_magnitude(numerator);
   // Denominator is canonically positive; encode without sign bit.
-  const std::vector<std::uint8_t> magnitude = value.denominator().magnitude_bytes();
-  put_varint(out, static_cast<std::uint64_t>(magnitude.size()));
-  out.insert(out.end(), magnitude.begin(), magnitude.end());
+  put_varint(sink, static_cast<std::uint64_t>(denominator.byte_length()));
+  sink.put_magnitude(denominator);
 }
 
-// --- analytic sizes --------------------------------------------------------
-// The network charges encoded_bits() on every broadcast; these mirror
-// the writers above byte-for-byte without materializing any buffer.
+template <typename Sink>
+void put_rational(Sink& sink, const Rational& value) {
+  put_rational(sink, value.is_negative(), BigMagnitude{value.numerator()},
+               BigMagnitude{value.denominator()});
+}
 
-std::size_t varint_len(std::uint64_t value) noexcept {
-  std::size_t bytes = 1;
-  while (value >= 0x80) {
-    value >>= 7;
-    ++bytes;
+/// One FixedRanksMsg entry num/S, written as the canonical rational it
+/// equals: g = gcd(|num|, S) on the limbs, then |num|/g over S/g, so zero
+/// is 0/1 and carries no sign. @p w covers both |num| and S.
+template <typename Sink>
+void put_grid_rank(Sink& sink, const limb_t* num, int width, const limb_t* scale, int w) {
+  GridQuotient numerator;
+  GridQuotient denominator;
+  const bool negative = numeric::limb_is_negative(num, width);
+  if (negative) {
+    numeric::limb_neg(numerator.value.data(), num, width);
+  } else {
+    std::copy(num, num + width, numerator.value.begin());
   }
-  return bytes;
+  std::copy(scale, scale + kFixedRankLimbs, denominator.value.begin());
+  limb_t g[kFixedRankLimbs] = {};
+  std::array<limb_t, kFixedRankLimbs> a = numerator.value;
+  std::array<limb_t, kFixedRankLimbs> b = denominator.value;
+  numeric::limb_gcd(g, a.data(), b.data(), w);
+  numerator.divisor = g;
+  denominator.divisor = g;
+  numerator.bits = quotient_bits(numerator.value.data(), g, w);
+  denominator.bits = quotient_bits(denominator.value.data(), g, w);
+  put_rational(sink, negative && numerator.bits != 0, numerator, denominator);
 }
 
-std::size_t svarint_len(std::int64_t value) noexcept {
-  const auto raw = static_cast<std::uint64_t>(value);
-  return varint_len((raw << 1) ^ static_cast<std::uint64_t>(value >> 63));
-}
-
-std::size_t rational_len(const Rational& value) noexcept {
-  const std::size_t num_bytes = (value.numerator().bit_length() + 7) / 8;
-  const std::size_t den_bytes = (value.denominator().bit_length() + 7) / 8;
-  return varint_len((static_cast<std::uint64_t>(num_bytes) << 1) |
-                    (value.is_negative() ? 1u : 0u)) +
-         num_bytes + varint_len(den_bytes) + den_bytes;
+template <typename Sink>
+void put_payload(Sink& sink, const Payload& payload) {
+  std::visit(
+      [&sink](const auto& msg) {
+        using T = std::decay_t<decltype(msg)>;
+        if constexpr (std::is_same_v<T, IdMsg>) {
+          sink.put(static_cast<std::uint8_t>(Kind::kId));
+          put_svarint(sink, msg.id);
+        } else if constexpr (std::is_same_v<T, EchoMsg>) {
+          sink.put(static_cast<std::uint8_t>(Kind::kEcho));
+          put_svarint(sink, msg.id);
+        } else if constexpr (std::is_same_v<T, ReadyMsg>) {
+          sink.put(static_cast<std::uint8_t>(Kind::kReady));
+          put_svarint(sink, msg.id);
+        } else if constexpr (std::is_same_v<T, RanksMsg>) {
+          sink.put(static_cast<std::uint8_t>(Kind::kRanks));
+          put_varint(sink, msg.entries.size());
+          for (const RankEntry& entry : msg.entries) {
+            put_svarint(sink, entry.id);
+            put_rational(sink, entry.rank);
+          }
+        } else if constexpr (std::is_same_v<T, MultiEchoMsg>) {
+          sink.put(static_cast<std::uint8_t>(Kind::kMultiEcho));
+          put_varint(sink, msg.ids.size());
+          for (const Id id : msg.ids) put_svarint(sink, id);
+        } else if constexpr (std::is_same_v<T, AAValueMsg>) {
+          sink.put(static_cast<std::uint8_t>(Kind::kAAValue));
+          put_rational(sink, msg.value);
+        } else if constexpr (std::is_same_v<T, WordMsg>) {
+          sink.put(static_cast<std::uint8_t>(Kind::kWord));
+          put_svarint(sink, msg.tag);
+          put_varint(sink, msg.words.size());
+          for (const std::int64_t word : msg.words) put_svarint(sink, word);
+        } else if constexpr (std::is_same_v<T, WrappedCastMsg>) {
+          sink.put(static_cast<std::uint8_t>(Kind::kWrappedCast));
+          put_svarint(sink, msg.sim_round);
+          put_varint(sink, msg.blob.size());
+          sink.put(msg.blob);
+        } else if constexpr (std::is_same_v<T, WrappedEchoMsg>) {
+          sink.put(static_cast<std::uint8_t>(Kind::kWrappedEcho));
+          put_svarint(sink, msg.sender);
+          put_svarint(sink, msg.sim_round);
+          put_varint(sink, msg.blob.size());
+          sink.put(msg.blob);
+        } else {
+          static_assert(std::is_same_v<T, FixedRanksMsg>);
+          // A fixed-point vote encodes as the byte-identical RanksMsg of
+          // its reduced-rational equivalents: message complexity (and
+          // the decoder) cannot distinguish the two representations.
+          if (msg.width < 1 || msg.width > kFixedRankLimbs) {
+            throw std::invalid_argument("FixedRanksMsg: width out of range");
+          }
+          const int scale_words = static_cast<int>(
+              (numeric::limb_bit_length(msg.scale.data(), kFixedRankLimbs) + 63) / 64);
+          if (scale_words == 0) throw std::domain_error("FixedRanksMsg: zero scale");
+          const int w = std::max(msg.width, scale_words);
+          sink.put(static_cast<std::uint8_t>(Kind::kRanks));
+          put_varint(sink, msg.ids.size());
+          for (std::size_t i = 0; i < msg.ids.size(); ++i) {
+            put_svarint(sink, msg.ids[i]);
+            put_grid_rank(sink, msg.nums.data() + i * static_cast<std::size_t>(msg.width),
+                          msg.width, msg.scale.data(), w);
+          }
+        }
+      },
+      payload);
 }
 
 // --- reading ---------------------------------------------------------------
@@ -160,65 +306,9 @@ constexpr std::uint64_t kMaxVectorEntries = 1 << 20;  // sanity cap on Byzantine
 
 std::vector<std::uint8_t> encode(const Payload& payload) {
   std::vector<std::uint8_t> out;
-  std::visit(
-      [&out](const auto& msg) {
-        using T = std::decay_t<decltype(msg)>;
-        if constexpr (std::is_same_v<T, IdMsg>) {
-          out.push_back(static_cast<std::uint8_t>(Kind::kId));
-          put_svarint(out, msg.id);
-        } else if constexpr (std::is_same_v<T, EchoMsg>) {
-          out.push_back(static_cast<std::uint8_t>(Kind::kEcho));
-          put_svarint(out, msg.id);
-        } else if constexpr (std::is_same_v<T, ReadyMsg>) {
-          out.push_back(static_cast<std::uint8_t>(Kind::kReady));
-          put_svarint(out, msg.id);
-        } else if constexpr (std::is_same_v<T, RanksMsg>) {
-          out.push_back(static_cast<std::uint8_t>(Kind::kRanks));
-          put_varint(out, msg.entries.size());
-          for (const RankEntry& entry : msg.entries) {
-            put_svarint(out, entry.id);
-            put_rational(out, entry.rank);
-          }
-        } else if constexpr (std::is_same_v<T, MultiEchoMsg>) {
-          out.push_back(static_cast<std::uint8_t>(Kind::kMultiEcho));
-          put_varint(out, msg.ids.size());
-          for (const Id id : msg.ids) put_svarint(out, id);
-        } else if constexpr (std::is_same_v<T, AAValueMsg>) {
-          out.push_back(static_cast<std::uint8_t>(Kind::kAAValue));
-          put_rational(out, msg.value);
-        } else if constexpr (std::is_same_v<T, WordMsg>) {
-          out.push_back(static_cast<std::uint8_t>(Kind::kWord));
-          put_svarint(out, msg.tag);
-          put_varint(out, msg.words.size());
-          for (const std::int64_t word : msg.words) put_svarint(out, word);
-        } else if constexpr (std::is_same_v<T, WrappedCastMsg>) {
-          out.push_back(static_cast<std::uint8_t>(Kind::kWrappedCast));
-          put_svarint(out, msg.sim_round);
-          put_varint(out, msg.blob.size());
-          out.insert(out.end(), msg.blob.begin(), msg.blob.end());
-        } else if constexpr (std::is_same_v<T, WrappedEchoMsg>) {
-          out.push_back(static_cast<std::uint8_t>(Kind::kWrappedEcho));
-          put_svarint(out, msg.sender);
-          put_svarint(out, msg.sim_round);
-          put_varint(out, msg.blob.size());
-          out.insert(out.end(), msg.blob.begin(), msg.blob.end());
-        } else {
-          static_assert(std::is_same_v<T, FixedRanksMsg>);
-          // A fixed-point vote encodes as the byte-identical RanksMsg of
-          // its reduced-rational equivalents: message complexity (and
-          // the decoder) cannot distinguish the two representations.
-          const BigInt scale = BigInt::from_words64(
-              msg.scale.data(), numeric::kFixedRankLimbs, false);
-          out.push_back(static_cast<std::uint8_t>(Kind::kRanks));
-          put_varint(out, msg.ids.size());
-          for (std::size_t i = 0; i < msg.ids.size(); ++i) {
-            put_svarint(out, msg.ids[i]);
-            put_rational(out, numeric::fixed_to_rational(
-                                  msg.nums.data() + i * msg.width, msg.width, scale));
-          }
-        }
-      },
-      payload);
+  out.reserve(encoded_bits(payload) / 8);
+  ByteSink sink(out);
+  put_payload(sink, payload);
   return out;
 }
 
@@ -322,31 +412,9 @@ std::optional<Payload> decode(const std::vector<std::uint8_t>& bytes) {
 }
 
 std::size_t encoded_bits(const Payload& payload) {
-  // Rational-bearing messages dominate the hot all-to-all rounds; size
-  // them analytically so the per-broadcast charge allocates nothing.
-  // codec_test asserts these equal 8 * encode().size() exactly.
-  if (const auto* ranks = std::get_if<RanksMsg>(&payload)) {
-    std::size_t bytes = 1 + varint_len(ranks->entries.size());
-    for (const RankEntry& entry : ranks->entries) {
-      bytes += svarint_len(entry.id) + rational_len(entry.rank);
-    }
-    return bytes * 8;
-  }
-  if (const auto* fixed = std::get_if<FixedRanksMsg>(&payload)) {
-    const BigInt scale =
-        BigInt::from_words64(fixed->scale.data(), numeric::kFixedRankLimbs, false);
-    std::size_t bytes = 1 + varint_len(fixed->ids.size());
-    for (std::size_t i = 0; i < fixed->ids.size(); ++i) {
-      bytes += svarint_len(fixed->ids[i]) +
-               rational_len(numeric::fixed_to_rational(fixed->nums.data() + i * fixed->width,
-                                                       fixed->width, scale));
-    }
-    return bytes * 8;
-  }
-  if (const auto* aa = std::get_if<AAValueMsg>(&payload)) {
-    return (1 + rational_len(aa->value)) * 8;
-  }
-  return encode(payload).size() * 8;
+  ByteCounter counter;
+  put_payload(counter, payload);
+  return counter.size() * 8;
 }
 
 }  // namespace byzrename::sim

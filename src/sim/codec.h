@@ -31,7 +31,12 @@ namespace byzrename::sim {
 
 [[nodiscard]] std::optional<Payload> decode(const std::vector<std::uint8_t>& bytes);
 
-/// Exact size of the encoded payload in bits (8 * encode().size()).
+/// Exact size of the encoded payload in bits (8 * encode().size()),
+/// computed without encoding and without touching the heap: the same
+/// writer that produces encode()'s bytes runs over a byte counter, and
+/// numbers contribute their byte lengths only. A FixedRanksMsg entry is
+/// reduced on its limbs (a binary gcd with S), never through a Rational.
+/// The network charges this once per outbox entry.
 [[nodiscard]] std::size_t encoded_bits(const Payload& payload);
 
 }  // namespace byzrename::sim

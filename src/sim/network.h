@@ -24,8 +24,10 @@ namespace byzrename::sim {
 /// messages (ForgeRule in sim/fault.h). Lives at the network layer so
 /// fault.h stays payload-free; the adversary registry implements it
 /// (adversary/strategies/forgery.h). Implementations must be pure in
-/// (round, spoofed_sender, receiver, strategy, entropy) — no internal
-/// state — to preserve the campaign engine's order-independence.
+/// (round, spoofed_sender, receiver, strategy, entropy) and hold no
+/// mutable state, to preserve the campaign engine's order-independence.
+/// Immutable payloads built once (at construction) may be returned to
+/// many slots: a PayloadRef is never mutated downstream.
 class ForgerySource {
  public:
   virtual ~ForgerySource() = default;

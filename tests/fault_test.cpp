@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -16,7 +17,11 @@
 #include <vector>
 
 #include "adversary/adversary.h"
+#include "adversary/strategies/forgery.h"
 #include "core/harness.h"
+#include "exp/campaign.h"
+#include "exp/campaign_io.h"
+#include "exp/spec_parse.h"
 #include "sim/fault.h"
 #include "sim/network.h"
 #include "sim/payload.h"
@@ -530,6 +535,57 @@ TEST(FaultHarness, GhostAdmissionNeedsTheWeakQuorum) {
   };
   EXPECT_EQ(accepted_at(2), 9u);   // the 9 correct ids only
   EXPECT_EQ(accepted_at(4), 10u);  // + the ghost
+}
+
+TEST(FaultHarness, GhostPayloadsAreStableAcrossSlots) {
+  // The ghost is one persistent phantom: every slot of a round kind gets
+  // the same payload, whoever the spoofed sender and receiver, on every
+  // call and in every later round.
+  adversary::AdversaryEnv env;
+  env.params = {.n = 7, .t = 2};
+  env.correct = {{0, 10}, {1, 20}, {2, 30}, {3, 40}, {4, 50}};
+  env.byz_indices = {5, 6};
+  env.byz_ids = {60, 70};
+  adversary::RegistryForgerySource source(env);
+  const sim::PayloadRef id = source.forge(1, 0, 1, "ghost", 11);
+  const sim::PayloadRef echo = source.forge(2, 0, 1, "ghost", 11);
+  const sim::PayloadRef ready = source.forge(3, 0, 1, "ghost", 11);
+  ASSERT_TRUE(std::holds_alternative<sim::IdMsg>(*id));
+  ASSERT_TRUE(std::holds_alternative<sim::EchoMsg>(*echo));
+  ASSERT_TRUE(std::holds_alternative<sim::ReadyMsg>(*ready));
+  const sim::Id ghost = std::get<sim::IdMsg>(*id).id;
+  EXPECT_EQ(std::get<sim::EchoMsg>(*echo).id, ghost);
+  EXPECT_EQ(std::get<sim::ReadyMsg>(*ready).id, ghost);
+  for (sim::ProcessIndex spoofed = 0; spoofed < 7; ++spoofed) {
+    for (sim::ProcessIndex receiver = 0; receiver < 7; ++receiver) {
+      const std::uint64_t entropy = sim::splitmix64(static_cast<std::uint64_t>(7 * spoofed + receiver));
+      EXPECT_EQ(source.forge(1, spoofed, receiver, "ghost", entropy), id);
+      EXPECT_EQ(source.forge(2, spoofed, receiver, "ghost", entropy), echo);
+      for (const sim::Round round : {3, 4, 9}) {
+        EXPECT_EQ(source.forge(round, spoofed, receiver, "ghost", entropy), ready);
+      }
+    }
+  }
+  // A second source over the same environment forges the same values.
+  adversary::RegistryForgerySource twin(env);
+  EXPECT_EQ(twin.forge(1, 3, 4, "ghost", 0), id);
+  EXPECT_EQ(twin.forge(5, 3, 4, "ghost", 0), ready);
+}
+
+TEST(FaultHarness, GhostCampaignCellsIdenticalAcrossThreadCounts) {
+  const exp::CampaignSpec spec = exp::parse_campaign_spec(
+      "algo=op;n=10,13;t=3;adversary=silent;reps=4;seed=11;fault=forge:2=ghost");
+  const auto cells = [&spec](int threads) {
+    exp::CampaignOptions options;
+    options.threads = threads;
+    const exp::CampaignResult result = exp::run_campaign(spec, options);
+    std::ostringstream os;
+    exp::write_campaign_cells(os, spec, result);
+    return os.str();
+  };
+  const std::string serial = cells(1);
+  EXPECT_FALSE(serial.empty());
+  EXPECT_EQ(serial, cells(8));
 }
 
 TEST(FaultHarness, UnknownForgeryStrategyThrows) {

@@ -2,7 +2,8 @@
 // (nesting, reentrancy, sibling interning), graceful degradation when
 // perf_event_open is unavailable (BYZRENAME_NO_PERF forces the path on
 // machines where counters would work), allocation attribution through
-// the interposed operator new, the collapsed-stack exporter against a
+// the interposed operator new (including the heap-free payload sizing
+// the network charges bits with), the collapsed-stack exporter against a
 // golden file (deterministic via injected clocks), campaign-aggregate
 // merge commutativity, and a TSan scrape-during-run hammer matching
 // what a live GET /profile does to a profiler mid-run.
@@ -20,6 +21,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -32,6 +34,7 @@
 #include "obs/prof/alloc_interpose.h"
 #include "obs/prof/profile_io.h"
 #include "obs/prof/profiler.h"
+#include "sim/codec.h"
 
 namespace byzrename {
 namespace {
@@ -303,6 +306,42 @@ TEST(ProfilerAlloc, HistogramObserveDoesNotAllocate) {
   }
   EXPECT_EQ(AllocProfiler::thread_counts().count, before.count);
   EXPECT_EQ(registry.histogram_count(histogram), 5u);
+}
+
+TEST(ProfilerAlloc, EncodedBitsDoesNotAllocate) {
+  // The network charges every outbox entry encoded_bits(); sizing must
+  // not encode, so no payload alternative may touch the heap here.
+  using numeric::BigInt;
+  using numeric::Rational;
+  const BigInt huge = (BigInt(1) << 300) + BigInt(12345);  // spills BigInt's inline limbs
+  sim::FixedRanksMsg fixed2;
+  fixed2.width = 2;
+  fixed2.scale = {3 * 17 * (std::uint64_t{1} << 20), 0, 0, 0};
+  fixed2.ids = {1, 2, 3};
+  fixed2.nums = {0, 0, 51, 0, ~std::uint64_t{0}, ~std::uint64_t{0} >> 1};
+  sim::FixedRanksMsg fixed4;
+  fixed4.width = 4;
+  fixed4.scale = {0x9E3779B97F4A7C15ull, 0x0123456789ABCDEFull, 0xFEDCBA9876543210ull, 1};
+  fixed4.ids = {7, 8};
+  fixed4.nums = {12, 0, 0, 0, ~std::uint64_t{0}, ~std::uint64_t{0}, 5, ~std::uint64_t{0}};
+  const std::vector<sim::Payload> payloads = {
+      sim::IdMsg{-5},
+      sim::EchoMsg{std::numeric_limits<std::int64_t>::min()},
+      sim::ReadyMsg{1'000'000'000'000},
+      sim::RanksMsg{{{5, Rational::of(41, 40)}, {9, Rational(-huge, BigInt(3))}}},
+      sim::MultiEchoMsg{std::vector<sim::Id>(200, 77)},
+      sim::AAValueMsg{Rational(huge, (BigInt(1) << 128) + BigInt(1))},
+      sim::WordMsg{3, {1, -2, 3}},
+      sim::WrappedCastMsg{4, std::vector<std::uint8_t>(300, 0xAB)},
+      sim::WrappedEchoMsg{1, 4, {1, 2, 3}},
+      fixed2,
+      fixed4,
+  };
+  std::size_t bits = 0;
+  const AllocCounts before = AllocProfiler::thread_counts();
+  for (const sim::Payload& payload : payloads) bits += sim::encoded_bits(payload);
+  EXPECT_EQ(AllocProfiler::thread_counts().count, before.count);
+  EXPECT_GT(bits, 0u);
 }
 
 // ---------------------------------------------------------------------------
